@@ -51,44 +51,14 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   type 'r verdict = Restart | Finish of 'r
 
-  (* Attribution: each engine placement names its site so the per-site
-     flush table separates the traversal/critical boundary cost from
-     Protocol 2's per-access cost. Tag only when the policy's flushes
-     are real — under [Volatile] the instruction is erased and a
-     pending tag would leak onto the next counted access.
-
-     Each placement also consults {!Nvt_nvm.Suppress} under its site
-     name: the mutation harness disables one site at a time and drives
-     the crippled engine to a durability violation, demonstrating the
-     Section 4.3 necessity claim per instruction site rather than per
-     class. After suppression, {!Nvt_nvm.Optimizer} may elide the site
-     under an installed proof-gated plan; suppression is checked first
-     so the mutation lab's skip counters stay exact when a plan is
-     active. Both checks short-circuit when the policy is erased, so
-     volatile runs neither tag nor count skips. *)
-  let tag site = if P.enabled then Nvt_nvm.Stats.set_site site
-
-  let flush_at site l =
-    if
-      (not P.enabled)
-      || not
-           (Nvt_nvm.Suppress.flush_killed site
-           || Nvt_nvm.Optimizer.flush_elided site)
-    then begin
-      tag site;
-      P.flush_any l
-    end
-
-  let fence_at site =
-    if
-      (not P.enabled)
-      || not
-           (Nvt_nvm.Suppress.fence_killed site
-           || Nvt_nvm.Optimizer.fence_elided site)
-    then begin
-      tag site;
-      P.fence ()
-    end
+  (* Every placement goes through the guarded primitive under its site
+     name: the per-site table separates the traversal/critical boundary
+     cost from Protocol 2's per-access cost, the mutation harness
+     suppresses one site at a time to demonstrate the Section 4.3
+     necessity claim per instruction site, and an installed plan may
+     elide a site the harness proved redundant. *)
+  module Pm = Nvt_nvm.Persist.Make (M)
+  module G = Pm.Sited (P)
 
   (* Same-line membership. Packed [M.any] wrappers are fresh
      allocations, so compare the wrapped locations; for every concrete
@@ -116,7 +86,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
         seen
       end
       else begin
-        flush_at site l;
+        G.flush_any site l;
         incr issued;
         l :: seen
       end
@@ -132,32 +102,6 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
          seen persist_set);
     if P.enabled then Nvt_nvm.Optimizer.note_coalesced !dropped;
     !issued
-
-  let ensure_reachable reach =
-    match reach with
-    | Original_parent l -> flush_at "nvt:ensure_reachable" l
-    | Parents ls ->
-      ignore
-        (List.fold_left
-           (fun seen l ->
-             if seen_line seen l then seen
-             else begin
-               flush_at "nvt:ensure_reachable" l;
-               l :: seen
-             end)
-           [] ls)
-
-  let make_persistent locs =
-    ignore
-      (List.fold_left
-         (fun seen l ->
-           if seen_line seen l then seen
-           else begin
-             flush_at "nvt:make_persistent" l;
-             l :: seen
-           end)
-         [] locs);
-    fence_at "nvt:make_persistent"
 
   (* The traversal/critical boundary of one attempt. Under a deferred
      plan, a boundary whose deduplicated drain issued no flushes skips
@@ -175,7 +119,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
          a fence that was never going to issue must not count as a
          suppressed skip *)
       Nvt_nvm.Optimizer.note_empty_fence ()
-    else fence_at "nvt:make_persistent";
+    else G.fence "nvt:make_persistent";
     if P.enabled && Nvt_nvm.Optimizer.defer_on () then
       Nvt_nvm.Optimizer.note_deferred issued
 
@@ -187,7 +131,7 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
       match critical tr.nodes input with
       | Restart -> attempt ~clean:false ()
       | Finish v ->
-        fence_at "nvt:return_fence";
+        G.fence "nvt:return_fence";
         v
     in
     attempt ~clean:true ()

@@ -32,16 +32,14 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) : sig
 
   type 'r verdict = Restart | Finish of 'r
 
-  (** Section 4.3's necessity claim is tested through
-      {!Nvt_nvm.Suppress}: every injected instruction consults the
-      per-site suppression switch under its site name
+  (** Every injected instruction is issued through
+      {!Nvt_nvm.Persist.Make.Sited} under its site name
       ([nvt:ensure_reachable], [nvt:make_persistent],
       [nvt:return_fence], and the Protocol 2 sites inside
-      {!Critical}), and the mutation harness drives each suppressed
-      variant to a durability violation. *)
-
-  val ensure_reachable : reachability -> unit
-  val make_persistent : M.any list -> unit
+      {!Critical}), the one place the {!Nvt_nvm.Suppress} check and
+      plan elision run. Section 4.3's necessity claim is tested
+      through it: the mutation harness suppresses one site at a time
+      and drives each variant to a durability violation. *)
 
   val operation :
     find_entry:('i -> 'entry) ->

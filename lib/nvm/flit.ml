@@ -39,31 +39,22 @@ module Make (M : Memory.S) :
 
   type any = Any : 'a loc -> any
 
-  (* Every flush/fence pair honours per-site suppression (the mutation
-     harness removes one site at a time); the counter CASes never do —
-     they are the algorithm's synchronization, not persistence. *)
-  let persist site l =
-    if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-    then begin
-      Stats.set_site site;
-      M.flush l
-    end;
-    if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-    then begin
-      Stats.set_site site;
-      M.fence ()
-    end
+  (* Every flush/fence pair is a guarded site (the mutation harness
+     removes one site at a time); the counter CASes never are — they
+     are the algorithm's synchronization, not persistence. *)
+  module Pm = Persist.Make (M)
+  module G = Pm.Sited (Pm.Durable)
 
   (* Initializing stores are writes like any other: the location must be
      persistent before the algorithm can publish a pointer to it. *)
   let alloc v =
     let l = M.alloc { v; tag = 0 } in
-    persist "flit:alloc" l;
+    G.persist "flit:alloc" l;
     l
 
   let read l =
     let c = M.read l in
-    if c.tag > 0 then persist "flit:racy_read" l;
+    if c.tag > 0 then G.persist "flit:racy_read" l;
     c.v
 
   let rec decrement l =
@@ -75,7 +66,7 @@ module Make (M : Memory.S) :
     end
 
   let write_back l =
-    persist "flit:write_back" l;
+    G.persist "flit:write_back" l;
     decrement l
 
   let rec write l v =

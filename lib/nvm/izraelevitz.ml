@@ -10,34 +10,26 @@
    node's initializing stores are stores like any other under the
    transformation, so a fresh location is persisted immediately. *)
 
-module Make (M : Memory.S) : Memory.S with type 'a loc = 'a M.loc =
-  Policy.Instrument
-    (M)
-    (struct
-      (* Attribution sites: every flush/fence pair names the access
-         class that triggered it, so the per-site table shows where the
-         transformation's cost concentrates (loads, overwhelmingly).
-         Both halves of the pair honour per-site suppression so the
-         mutation harness can remove an access class wholesale. *)
-      let persist site l =
-        if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          Stats.set_site site;
-          M.flush l
-        end;
-        if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          Stats.set_site site;
-          M.fence ()
-        end
+module Make (M : Memory.S) : Memory.S with type 'a loc = 'a M.loc = struct
+  module Pm = Persist.Make (M)
+  module G = Pm.Sited (Pm.Durable)
 
-      let after_alloc l = persist "izr:alloc" l
-      let after_read l = persist "izr:load" l
-      let before_update () = ()
-      let after_update l = persist "izr:update" l
-      let flush = M.flush
-      let fence = M.fence
-    end)
+  (* Every flush/fence pair names the access class that triggered it,
+     so the per-site table shows where the transformation's cost
+     concentrates (loads, overwhelmingly) and the mutation harness can
+     remove an access class wholesale. *)
+  include
+    Policy.Instrument
+      (M)
+      (struct
+        let after_alloc l = G.persist "izr:alloc" l
+        let after_read l = G.persist "izr:load" l
+        let before_update () = ()
+        let after_update l = G.persist "izr:update" l
+        let flush = M.flush
+        let fence = M.fence
+      end)
+end
 
 module Policy : Policy.S = struct
   let name = "izraelevitz"

@@ -28,6 +28,9 @@ module Make (M : Memory.S) :
 
   type any = Any : 'a loc -> any
 
+  module Pm = Persist.Make (M)
+  module G = Pm.Sited (Pm.Durable)
+
   let alloc v = M.alloc { v; tag = false }
   let read = T.read
   let write l v = M.write l { v; tag = false }
@@ -43,23 +46,13 @@ module Make (M : Memory.S) :
     Stats.clear_site ();
     let c = M.read l in
     if not c.tag then begin
-      (* The flush and drain honour per-site suppression; the
-         mark-clean CAS always runs — suppressing it would change the
-         algorithm, and a mutated flush that still marks the word clean
-         is exactly the dangerous variant the mutation harness wants:
-         every later flush of the word is then skipped as "clean". *)
-      if
-        not (Suppress.flush_killed "lp:flush" || Optimizer.flush_elided "lp:flush")
-      then begin
-        Stats.set_site "lp:flush";
-        M.flush l
-      end;
-      if
-        not (Suppress.fence_killed "lp:drain" || Optimizer.fence_elided "lp:drain")
-      then begin
-        Stats.set_site "lp:drain";
-        M.fence ()
-      end;
+      (* The flush and drain are guarded sites; the mark-clean CAS
+         always runs — suppressing it would change the algorithm, and
+         a mutated flush that still marks the word clean is exactly
+         the dangerous variant the mutation harness wants: every later
+         flush of the word is then skipped as "clean". *)
+      G.flush "lp:flush" l;
+      G.fence "lp:drain";
       Stats.set_site "lp:mark_clean";
       ignore (M.cas l ~expected:c ~desired:{ c with tag = true })
     end

@@ -7,11 +7,9 @@
    Crash testing therefore lives in the simulator backend ([Sim_nvm]); the
    native backend is the implementation a downstream user runs. *)
 
-type 'a loc = { cell : 'a Atomic.t; id : int }
+type 'a loc = 'a Atomic.t
 
 type any = Any : 'a loc -> any
-
-let next_id = Atomic.make 0
 
 (* Per-domain counters, registered globally so [stats] can aggregate. *)
 
@@ -56,21 +54,21 @@ let spin n =
 let alloc v =
   let s = Domain.DLS.get local_stats in
   s.allocs <- s.allocs + 1;
-  { cell = Atomic.make v; id = Atomic.fetch_and_add next_id 1 }
+  Atomic.make v
 
 let read l =
   let s = Domain.DLS.get local_stats in
   s.reads <- s.reads + 1;
-  Atomic.get l.cell
+  Atomic.get l
 
 let write l v =
   let s = Domain.DLS.get local_stats in
   s.writes <- s.writes + 1;
-  Atomic.set l.cell v
+  Atomic.set l v
 
 let cas l ~expected ~desired =
   let s = Domain.DLS.get local_stats in
-  let ok = Atomic.compare_and_set l.cell expected desired in
+  let ok = Atomic.compare_and_set l expected desired in
   Stats.record_cas s ~site:(Stats.take_site ()) ~ok;
   ok
 

@@ -7,9 +7,9 @@
    module closes the loop: a {e plan} names the sites that may be
    elided for the running structure x policy — derived from a committed
    [MUTATION_report.json], never hand-written — and turns on deferred
-   boundary persistence. Instrumentation layers consult
-   {!flush_elided}/{!fence_elided} right after the suppression check
-   and skip the instruction when its site is in the plan.
+   boundary persistence. The guarded primitive [Persist.Make(M).Sited]
+   consults {!flush_elided}/{!fence_elided} right after the suppression
+   check and skips the instruction when its site is in the plan.
 
    Three distinct savings are tracked:
 

@@ -3,10 +3,12 @@
     A {!plan} names the flush/fence sites that may be skipped for the
     running structure x policy (derived from a committed mutation
     report's candidate-redundant verdicts, never hand-written) and
-    switches on deferred boundary persistence. The engine and the
-    policy wrappers consult {!flush_elided}/{!fence_elided} immediately
-    after the {!Suppress} check — suppression wins, so the mutation
-    lab's skip counters stay exact under an installed plan.
+    switches on deferred boundary persistence. Elision is checked in
+    one place, {!Persist.Make.Sited} — the guarded primitive every
+    attributed flush and fence goes through, engine, policy wrappers
+    and service sites alike — immediately after the {!Suppress} check:
+    suppression wins, so the mutation lab's skip counters stay exact
+    under an installed plan.
 
     State lives in a per-domain context installed by
     {!Nvt_sim.Machine.set_current}, mirroring {!Suppress}: machines on
@@ -70,9 +72,9 @@ val defer_on : unit -> bool
 
 val flush_elided : string -> bool
 (** [flush_elided site] is [true] when the plan elides [site]: the
-    caller must skip its flush (the skip is counted). Consult only
-    after {!Suppress.flush_killed} returned [false], and never for a
-    disabled (volatile) policy. *)
+    caller must skip its flush (the skip is counted). Outside tests,
+    called only by {!Persist.Make.Sited}, after {!Suppress.flush_killed} returned
+    [false] and never for a disabled (volatile) policy. *)
 
 val fence_elided : string -> bool
 (** Same, for a fence. *)

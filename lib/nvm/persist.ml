@@ -31,29 +31,53 @@ module Make (M : Memory.S) = struct
     let fence = M.fence
   end
 
-  (* Site-attributed guarded persistence, for hand-tuned contenders that
-     place their own flushes instead of going through the NVTraverse
-     engine (SOFT, the detectable-recovery descriptors). Each
-     [persist site l] is one flush + fence pair attributed to [site] and
-     subject to the same per-site suppression (the mutation lab's knife)
-     and plan elision (the optimizer) as the engine's own placements —
-     so the contenders' minimality claims are testable with exactly the
-     machinery that tested the paper's. Routing through [P] rather than
-     [M] makes the [Volatile] instantiation the negative control: the
-     whole pair erases, suppression guards and all. *)
+  (* Site-attributed guarded persistence: the one place an attributed
+     flush or fence is issued — by the engine, Protocol 2, the policy
+     wrappers, the contenders and the service alike — so one rule gives
+     every site name its meaning:
+
+       1. erased when [P] is not [enabled]: the [Volatile]
+          instantiation is the negative control, and an erased
+          instruction neither counts a skip nor leaves a pending tag
+          to leak onto the next counted access;
+       2. skipped when {!Suppress} kills the site (the mutation lab's
+          knife), checked first so its skip counters stay exact under
+          an installed plan;
+       3. skipped when the {!Optimizer} plan elides the site;
+       4. otherwise tagged with {!Stats.set_site} and issued.
+
+     Layers that persist whatever the store's policy (the
+     self-instrumenting wrappers over their own memory, the service
+     ledger and checkpoints) instantiate it over [Durable]. *)
   module Sited (P : S) = struct
-    let persist site l =
-      if P.enabled then begin
-        if not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          Stats.set_site site;
-          P.flush l
-        end;
-        if not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          Stats.set_site site;
-          P.fence ()
-        end
+    let flush_on site =
+      P.enabled
+      && not (Suppress.flush_killed site || Optimizer.flush_elided site)
+
+    let fence_on site =
+      P.enabled
+      && not (Suppress.fence_killed site || Optimizer.fence_elided site)
+
+    let flush site l =
+      if flush_on site then begin
+        Stats.set_site site;
+        P.flush l
       end
+
+    let flush_any site l =
+      if flush_on site then begin
+        Stats.set_site site;
+        P.flush_any l
+      end
+
+    let fence site =
+      if fence_on site then begin
+        Stats.set_site site;
+        P.fence ()
+      end
+
+    let persist site l =
+      flush site l;
+      fence site
   end
 end

@@ -31,10 +31,14 @@
      CAS.
 
    Every flush, fence and CAS a wrapper issues is attributed to a named
-   site ([Stats.set_site] immediately before the access): the site
-   naming convention is [<policy>:<point>], e.g. [izr:load],
-   [lp:mark_clean], [flit:racy_read], and the engine's own placements
-   are [nvt:*] (see [Nvt_core.Traversal.nvt_sites]). *)
+   site: the site naming convention is [<policy>:<point>], e.g.
+   [izr:load], [lp:mark_clean], [flit:racy_read], and the engine's own
+   placements are [nvt:*] (see [Nvt_core.Traversal.nvt_sites]). A
+   wrapper never runs the suppression/elision guard itself: its
+   flushes and fences go through [Persist.Make(M).Sited], over
+   [Durable] for the self-instrumenting wrappers, and only its CAS
+   sites are tagged by hand ([Stats.set_site] immediately before the
+   access). *)
 
 module type S = sig
   val name : string

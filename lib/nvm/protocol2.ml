@@ -7,50 +7,29 @@
      - (Fence before return is inserted by the engine, which owns the
        return point of the critical method.)
 
-   The flushes and fences are routed through the persistence policy [P],
-   so the same critical-section code erases to the original algorithm
-   when [P] is [Persist.Make(M).Volatile].
+   The flushes and fences are issued through the guarded primitive
+   [Persist.Make(M).Sited (P)] under the [nvt:crit_*] sites, so the
+   same critical-section code erases to the original algorithm when
+   [P] is [Persist.Make(M).Volatile].
 
    Immutable fields need no flush after a read (end of Section 4.2);
    structures express this by reading write-once locations through [M]
    directly rather than through this wrapper. *)
 
 module Make (M : Memory.S) (P : Persist.Make(M).S) :
-  Memory.S with type 'a loc = 'a M.loc =
-  Policy.Instrument
-    (M)
-    (struct
-      (* Attribution: tag only when the policy's flushes are real —
-         under [Volatile] the instruction is erased and a pending tag
-         would leak onto the next counted access. Each placement also
-         consults the per-site suppression switch (the mutation
-         harness's knife) before executing; the guard short-circuits
-         when the policy is erased so volatile runs neither tag nor
-         count skips. *)
-      let tag site = if P.enabled then Stats.set_site site
+  Memory.S with type 'a loc = 'a M.loc = struct
+  module Pm = Persist.Make (M)
+  module G = Pm.Sited (P)
 
-      let flush_at site l =
-        if
-          (not P.enabled)
-          || not (Suppress.flush_killed site || Optimizer.flush_elided site)
-        then begin
-          tag site;
-          P.flush l
-        end
-
-      let fence_at site =
-        if
-          (not P.enabled)
-          || not (Suppress.fence_killed site || Optimizer.fence_elided site)
-        then begin
-          tag site;
-          P.fence ()
-        end
-
-      let after_alloc _ = ()
-      let after_read l = flush_at "nvt:crit_read" l
-      let before_update () = fence_at "nvt:crit_fence"
-      let after_update l = flush_at "nvt:crit_update" l
-      let flush l = flush_at "nvt:crit_flush" l
-      let fence () = fence_at "nvt:crit_fence"
-    end)
+  include
+    Policy.Instrument
+      (M)
+      (struct
+        let after_alloc _ = ()
+        let after_read l = G.flush "nvt:crit_read" l
+        let before_update () = G.fence "nvt:crit_fence"
+        let after_update l = G.flush "nvt:crit_update" l
+        let flush l = G.flush "nvt:crit_flush" l
+        let fence () = G.fence "nvt:crit_fence"
+      end)
+end

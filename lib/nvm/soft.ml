@@ -57,7 +57,7 @@ module Policy : Policy.S = struct
     module Persist_m = Persist.Make (M)
 
     (* The structure variant places its own [soft:*] flushes through
-       [Persist.Sited]; [P] is what those route through, so the durable
+       [Persist.Make(M).Sited]; [P] is what those route through, so the durable
        instantiation persists pnodes and nothing else. *)
     module P = Persist_m.Durable
 

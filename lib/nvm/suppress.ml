@@ -2,10 +2,11 @@
 
    Every flush/fence the policies and the engine inject is attributed to
    a named site (see {!Stats}); this module lets the harness disable
-   exactly one of those sites at a time. Each instrumentation layer
-   consults [flush_killed]/[fence_killed] with its site name immediately
-   before issuing the instruction and skips it when the site is the
-   suppressed one — the program otherwise runs unchanged, which is the
+   exactly one of those sites at a time. The guarded primitive
+   [Persist.Make(M).Sited], through which every layer issues its
+   attributed flushes and fences, consults [flush_killed]/[fence_killed]
+   with the site name immediately before the instruction and skips it
+   when the site is the suppressed one — the program otherwise runs unchanged, which is the
    mutation-testing notion of removing a single persistence instruction
    from the source.
 

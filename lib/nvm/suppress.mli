@@ -3,10 +3,12 @@
     The mutation harness ({!Nvt_harness.Mutlab} in the harness library)
     classifies every attributed flush/fence site as necessary or
     candidate-redundant by re-running a crash battery with exactly one
-    site disabled. This module is the switch: instrumentation layers ask
-    {!flush_killed}/{!fence_killed} with their {!Stats} site name right
-    before issuing the instruction, and skip it when that site is
-    suppressed.
+    site disabled. This module is the switch, asked in exactly one
+    place: {!Persist.Make.Sited}, the guarded primitive every
+    instrumentation layer issues its attributed flushes and fences
+    through, consults {!flush_killed}/{!fence_killed} with the
+    {!Stats} site name right before the instruction and skips it when
+    that site is suppressed.
 
     Suppression state lives in a context record, not a global: each
     domain has its own ambient context (fresh by default), and
@@ -45,10 +47,11 @@ val site : unit -> string option
 
 val flush_killed : string -> bool
 (** [flush_killed name] is [true] when [name] is the suppressed site:
-    the caller must skip its flush (the skip is counted). Sites whose
-    instruction may be erased for other reasons (a disabled policy)
-    must short-circuit {e before} this call so erased instructions are
-    not counted as suppressed. *)
+    the caller must skip its flush (the skip is counted). Outside
+    tests, called only by {!Persist.Make.Sited}, which erases a
+    disabled policy's instruction {e before} this call so erased
+    instructions are not counted as suppressed; a CI step rejects
+    calls from anywhere else under [lib/], [bin/] and [bench/]. *)
 
 val fence_killed : string -> bool
 (** Same, for a fence. *)

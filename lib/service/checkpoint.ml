@@ -35,12 +35,15 @@
    {!Nvt_nvm.Memory.reclaimed} so repeated checkpoints do not inflate
    the working-set model's live-cell estimate. *)
 
-module Stats = Nvt_nvm.Stats
-module Suppress = Nvt_nvm.Suppress
-
 let chunk = 8
 
 module Make (M : Nvt_nvm.Memory.S) = struct
+  (* The protocol persists under every store policy, the volatile
+     control included, so its sites go through the guarded primitive
+     over [Durable]. *)
+  module Pm = Nvt_nvm.Persist.Make (M)
+  module G = Pm.Sited (Pm.Durable)
+
   type 'd desc = {
     dk_upto : int;  (* the checkpoint covers log slots [0, upto) *)
     dk_pairs : (int * int) array M.loc list;
@@ -61,18 +64,6 @@ module Make (M : Nvt_nvm.Memory.S) = struct
      recovery that never checkpointed would read a corrupt cell. *)
   let create () = { cell = M.alloc None; live = 0; pending = 0 }
 
-  let flush_chunk loc =
-    if not (Suppress.flush_killed "svc:ckpt_flush") then begin
-      Stats.set_site "svc:ckpt_flush";
-      M.flush loc
-    end
-
-  let fence site =
-    if not (Suppress.fence_killed site) then begin
-      Stats.set_site site;
-      M.fence ()
-    end
-
   let write_chunks t arr =
     let n = Array.length arr in
     let rec go i acc =
@@ -81,7 +72,7 @@ module Make (M : Nvt_nvm.Memory.S) = struct
         let len = min chunk (n - i) in
         let c = M.alloc (Array.sub arr i len) in
         t.pending <- t.pending + 1;
-        flush_chunk c;
+        G.flush "svc:ckpt_flush" c;
         go (i + len) (c :: acc)
       end
     in
@@ -90,13 +81,10 @@ module Make (M : Nvt_nvm.Memory.S) = struct
   let write t ~upto ~pairs ~dedup =
     let pc = write_chunks t pairs in
     let dc = write_chunks t dedup in
-    fence "svc:ckpt_fence";
+    G.fence "svc:ckpt_fence";
     M.write t.cell (Some { dk_upto = upto; dk_pairs = pc; dk_dedup = dc });
-    if not (Suppress.flush_killed "svc:ckpt_commit_flush") then begin
-      Stats.set_site "svc:ckpt_commit_flush";
-      M.flush t.cell
-    end;
-    fence "svc:ckpt_commit_fence";
+    G.flush "svc:ckpt_commit_flush" t.cell;
+    G.fence "svc:ckpt_commit_fence";
     (* the previous generation's chunks are garbage now *)
     Nvt_nvm.Memory.reclaimed t.live;
     t.live <- t.pending;

@@ -64,7 +64,6 @@
 
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
-module Stats = Nvt_nvm.Stats
 module I = Nvt_harness.Instances
 
 type op =
@@ -281,6 +280,8 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
   let cells = ref (Array.make 64 (None : entry LMem.loc option)) in
   let index = LMem.alloc 0 in
   let module C = Checkpoint.Make (LMem) in
+  let module Pm = Nvt_nvm.Persist.Make (LMem) in
+  let module G = Pm.Sited (Pm.Durable) in
   let ckpt : ckpt_dedup C.t = C.create () in
   let cell slot =
     match !cells.(slot) with
@@ -318,20 +319,10 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
     | None -> !cells.(slot) <- Some (LMem.alloc e)
   in
   { append;
-    flush_entry =
-      (fun slot ->
-        if not (Nvt_nvm.Suppress.flush_killed "svc:ledger_flush") then begin
-          Stats.set_site "svc:ledger_flush";
-          LMem.flush (cell slot)
-        end);
+    flush_entry = (fun slot -> G.flush "svc:ledger_flush" (cell slot));
     read_entry = (fun slot -> LMem.read (cell slot));
     write_index = (fun i -> LMem.write index i);
-    flush_index =
-      (fun () ->
-        if not (Nvt_nvm.Suppress.flush_killed "svc:commit_flush") then begin
-          Stats.set_site "svc:commit_flush";
-          LMem.flush index
-        end);
+    flush_index = (fun () -> G.flush "svc:commit_flush" index);
     read_index = (fun () -> LMem.read index);
     truncate = (fun from -> drop from (Array.length !cells));
     drop_below = (fun upto -> drop 0 (min upto (Array.length !cells)));
@@ -373,12 +364,10 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
   let policy = flavour.policy in
   let (module Pol : I.POLICY) = policy in
   let module L = Pol.Apply (Sim_mem) in
-  let svc_fence site =
-    if not (Nvt_nvm.Suppress.fence_killed site) then begin
-      Stats.set_site site;
-      L.Mem.fence ()
-    end
-  in
+  (* Service sites persist under every store policy, the volatile
+     control included: guarded, but over [Durable]. *)
+  let module Pm = Nvt_nvm.Persist.Make (L.Mem) in
+  let module G = Pm.Sited (Pm.Durable) in
   (* Detect mode's descriptor store. The table and each pair's turn
      counter are plain OCaml — NVRAM allocator metadata, like a
      registry of roots; they carry no durability information (recovery
@@ -386,12 +375,6 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
      re-aims the turn at the losing cell). *)
   let desc_tbl : (int, desc_rec L.Mem.loc array * int ref) Hashtbl.t =
     Hashtbl.create 64
-  in
-  let desc_flush c =
-    if not (Nvt_nvm.Suppress.flush_killed "svc:desc_flush") then begin
-      Stats.set_site "svc:desc_flush";
-      L.Mem.flush c
-    end
   in
   let desc_put client r =
     let cells, turn =
@@ -405,7 +388,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     let c = cells.(!turn) in
     turn := 1 - !turn;
     L.Mem.write c r;
-    desc_flush c
+    G.flush "svc:desc_flush" c
   in
   (* client -> best merged seq of the recovery in progress; shared by
      the per-shard passes so the turn ends up aimed away from the
@@ -449,9 +432,9 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     List.iter
       (fun c ->
         L.Mem.write c null_desc;
-        desc_flush c)
+        G.flush "svc:desc_flush" c)
       !stale;
-    if !stale <> [] then svc_fence "svc:desc_fence"
+    if !stale <> [] then G.fence "svc:desc_fence"
   in
   let local = if group >= n then 0 else (n - group + stride - 1) / stride in
   let shards =
@@ -484,7 +467,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     on_ack = (fun _ _ ~dedup:_ -> ());
     on_commit = (fun _ ~shard:_ ~slot:_ -> ());
     policy_recover = L.recover;
-    svc_fence;
+    svc_fence = G.fence;
     poll_quantum;
     detect;
     desc_put;

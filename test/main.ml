@@ -8,7 +8,6 @@ let () =
       ("ms_queue", Test_queue.suite);
       ("treiber_stack", Test_stack.suite);
       ("ebr", Test_ebr.suite);
-      ("hazard_pointers", Test_hazard.suite);
       ("onefile", Test_onefile.suite);
       ("linearizability_checker", Test_lin.suite);
       ("explore", Test_explore.suite);

@@ -1,6 +1,6 @@
 (* The persistence optimizer and this PR's flush-accounting fixes.
 
-   Four concerns share the suite:
+   Five concerns share the suite:
    - engine accounting: the traversal/critical boundary deduplicates
      same-line flushes (pinned counts for a node-revisiting traversal —
      the double-flush regression), and the empty-drain rule skips the
@@ -13,7 +13,10 @@
      that optimized and unoptimized runs produce identical operation
      histories, and a crash-sweep battery with the optimizer enabled;
    - the durable multi-put/RMW service ops under the exactly-once
-     oracle, crashed and checkpointed.
+     oracle, crashed and checkpointed;
+   - the guarded primitive every attributed flush and fence goes
+     through ([Persist.Make(M).Sited]): its erase / suppress / elide
+     order, service sites included.
 
    Elision lists used here mirror the committed mutation report's
    allowlisted candidate-redundant verdicts (nvt:crit_read under nvt;
@@ -494,6 +497,107 @@ let multi_put_semantics () =
     (List.sort compare [ (k1, 15); (k2, 20) ])
     (List.sort compare (Service.contents t))
 
+(* ------------------------------------------------------------------ *)
+(* The guarded persistence primitive's contract                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a row observes after its scenario: suppression skips and plan
+   elisions as (flushes, fences), instructions counted under the row's
+   sites, and the site tag left pending for the next counted access. *)
+type guarded = {
+  skipped : int * int;
+  elided : int * int;
+  issued : int;
+  pending : string;
+}
+
+let observe m sites =
+  let c = Optimizer.counters () in
+  let at name =
+    match List.assoc_opt name (Stats.sites (Machine.stats m)) with
+    | Some s -> s.Stats.s_flushes + s.Stats.s_fences
+    | None -> 0
+  in
+  { skipped = Nvm.Suppress.skipped ();
+    elided = (c.Optimizer.elided_flushes, c.Optimizer.elided_fences);
+    issued = List.fold_left (fun n site -> n + at site) 0 sites;
+    pending = Stats.take_site () }
+
+(* One flush and one fence per site through [Sited (Pol)], with
+   [killed] suppressed and [planned] in an installed plan. *)
+let sited_scenario (module Pol : P.S) ~killed ~planned () =
+  let m = Machine.create () in
+  Stats.clear_site ();
+  Nvm.Suppress.set (Some killed);
+  Optimizer.set (Some { Optimizer.no_opt with elide = [ planned ] });
+  Fun.protect ~finally:(fun () ->
+      Nvm.Suppress.set None;
+      Optimizer.set None)
+  @@ fun () ->
+  let module G = P.Sited (Pol) in
+  let l = Sim_mem.alloc 0 in
+  let sites = List.sort_uniq compare [ killed; planned ] in
+  List.iter
+    (fun site ->
+      G.flush site l;
+      G.fence site)
+    sites;
+  observe m sites
+
+(* Four per-op puts through the service under a hand-built plan that
+   elides the commit point's fence. *)
+let svc_commit_fence_scenario () =
+  let m = Machine.create () in
+  Stats.clear_site ();
+  Nvm.Suppress.set None;
+  Optimizer.set (Some { Optimizer.no_opt with elide = [ "svc:commit_fence" ] });
+  Fun.protect ~finally:(fun () -> Optimizer.set None) @@ fun () ->
+  let t =
+    Service.create
+      ~structure:(List.assoc "hash" I.structures)
+      ~flavour:(Option.get (I.flavour "nvt"))
+      ~shards:1 ~mode:Service.Per_op ()
+  in
+  Service.start t m;
+  for seq = 0 to 3 do
+    Service.submit t { Service.client = 0; seq; op = Service.Put (seq, seq) }
+  done;
+  Service.request_stop t;
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  observe m [ "svc:commit_fence" ]
+
+(* Every attributed flush and fence goes through [Persist.Make(M).Sited]:
+   erased under [Volatile] before either guard (no skip counted, no tag
+   left to leak), suppression before elision (so the mutation lab's
+   skip counts stay exact under a plan), and plans reach every site,
+   the service's included. One test case per row. *)
+let guarded_contract =
+  let nothing =
+    { skipped = (0, 0); elided = (0, 0); issued = 0; pending = Stats.app_site }
+  in
+  List.map
+    (fun (name, scenario, want) ->
+      ( name,
+        fun () ->
+          let got = scenario () in
+          let pair = Alcotest.(pair int int) in
+          Alcotest.check pair "suppressed" want.skipped got.skipped;
+          Alcotest.check pair "elided" want.elided got.elided;
+          Alcotest.(check int) "issued" want.issued got.issued;
+          Alcotest.(check string) "pending tag" want.pending got.pending ))
+    [ ( "volatile, suppressed or planned",
+        sited_scenario (module P.Volatile) ~killed:"t:killed"
+          ~planned:"t:planned",
+        nothing );
+      ( "durable, suppressed and planned",
+        sited_scenario (module P.Durable) ~killed:"t:both" ~planned:"t:both",
+        { nothing with skipped = (1, 1) } );
+      ( "plan eliding svc:commit_fence",
+        svc_commit_fence_scenario,
+        { nothing with elided = (0, 4) } ) ]
+
 let suite =
   [ Alcotest.test_case "boundary flushes are deduplicated per line" `Quick
       boundary_dedup;
@@ -513,3 +617,8 @@ let suite =
       `Quick multi_put_optimized_and_checkpointed;
     Alcotest.test_case "multi-put and rmw semantics" `Quick
       multi_put_semantics ]
+  @ List.map
+      (fun (name, run) ->
+        Alcotest.test_case ("guarded persistence contract: " ^ name) `Quick
+          run)
+      guarded_contract

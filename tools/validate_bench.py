@@ -15,6 +15,7 @@ Each FILE is a JSON artifact produced by `bench/main.exe` or
     nvtraverse-mutation/1  nvtsim mutate (legacy, display-only verdicts)
     nvtraverse-mutation/2  nvtsim mutate         (MUTATION_report.json)
     nvtraverse-optimizer/1 bench optimizer --json (BENCH_optimizer.json)
+    nvtraverse-contenders/1 bench contenders --json (BENCH_contenders.json)
 
 Validators assert structural invariants only (series present, sums
 consistent, gate coherent with verdicts) — never absolute performance
