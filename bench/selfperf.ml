@@ -115,9 +115,9 @@ let measure ~seed ~range ~total_ops (p : panel) ~threads =
    runner's shape — one machine per domain, no sharing) forked over a
    {!Nvt_sim.Domain_pool}, wall-clocked across the join. Work grows
    with D (each domain simulates its own full workload), so perfect
-   scaling is a flat wall clock: steps/sec growing ~D-fold. On a
-   machine with fewer cores than D the series degrades to flat
-   steps/sec and D-fold wall time — the honest single-core outcome. *)
+   scaling is a flat wall clock: steps/sec growing ~D-fold. Past the
+   host's core count aggregate steps/sec stops growing and wall time
+   grows D-fold instead. *)
 let measure_domains (p : panel) ~seed ~range ~total_ops ~domains
     ~threads_per_domain =
   let pool = Nvt_sim.Domain_pool.create domains in

@@ -11,9 +11,13 @@ type 'a loc = 'a Atomic.t
 
 type any = Any : 'a loc -> any
 
-(* Per-domain counters, registered globally so [stats] can aggregate. *)
+(* Per-domain counters, registered globally so [stats] can aggregate.
+   An exiting domain folds its counters into [retired] and leaves the
+   registry, which therefore holds only live domains instead of growing
+   with every domain ever spawned. *)
 
 let registry : Stats.t list ref = ref []
+let retired = Stats.zero ()
 let registry_lock = Mutex.create ()
 
 let local_stats : Stats.t Domain.DLS.key =
@@ -22,18 +26,23 @@ let local_stats : Stats.t Domain.DLS.key =
       Mutex.lock registry_lock;
       registry := s :: !registry;
       Mutex.unlock registry_lock;
+      Domain.at_exit (fun () ->
+          Mutex.lock registry_lock;
+          Stats.accumulate ~into:retired s;
+          registry := List.filter (fun s' -> s' != s) !registry;
+          Mutex.unlock registry_lock);
       s)
 
 let stats () =
   let total = Stats.zero () in
   Mutex.lock registry_lock;
-  List.iter (fun s -> Stats.accumulate ~into:total s) !registry;
+  List.iter (fun s -> Stats.accumulate ~into:total s) (retired :: !registry);
   Mutex.unlock registry_lock;
   total
 
 let reset_stats () =
   Mutex.lock registry_lock;
-  List.iter Stats.reset !registry;
+  List.iter Stats.reset (retired :: !registry);
   Mutex.unlock registry_lock
 
 (* Optional calibrated delays so that flush/fence cost something even on a

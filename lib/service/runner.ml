@@ -193,6 +193,24 @@ type ev =
   | E_commit of Service.request * int (* global shard *) * int (* slot *) * int
   | E_ack of Service.request * Service.result * bool (* dedup *) * int
 
+let ev_req = function
+  | E_apply (r, _) | E_commit (r, _, _, _) | E_ack (r, _, _, _) -> r
+
+let ev_rank = function E_apply _ -> 0 | E_commit _ -> 1 | E_ack _ -> 2
+
+(* The merge order of released events: effective time, then client,
+   seq, and apply < commit < ack. *)
+let compare_ev (t1, e1) (t2, e2) =
+  if t1 <> t2 then Int.compare t1 t2
+  else
+    let r1 = ev_req e1 and r2 = ev_req e2 in
+    if r1.Service.client <> r2.Service.client then
+      Int.compare r1.client r2.client
+    else if r1.seq <> r2.seq then Int.compare r1.seq r2.seq
+    else Int.compare (ev_rank e1) (ev_rank e2)
+
+let is_completed = function `Completed -> true | _ -> false
+
 let run (c : config) : report =
   let structure =
     match List.assoc_opt c.structure I.structures with
@@ -334,10 +352,19 @@ let run (c : config) : report =
   let rmws = count_ops (function Service.Rmw _ -> true | _ -> false) in
 
   (* ---- oracle state (plain OCaml: survives simulated crashes) ---- *)
-  let recs : (int * int, rec_) Hashtbl.t = Hashtbl.create (2 * c.requests) in
+  (* One record per request, indexed by client, then seq: each client's
+     seqs are dense from 0, and [seq_ctr] has counted them, so the loop
+     below overwrites every [unset] slot. *)
+  let recs : rec_ array array =
+    let unset =
+      { r_arrival = 0; r_op = Service.Get 0; r_acks = 0; r_ack_res = None;
+        r_applies = 0; r_pos = None }
+    in
+    Array.map (fun n -> Array.make n unset) seq_ctr
+  in
   Array.iter
     (fun a ->
-      Hashtbl.replace recs (a.a_client, a.a_seq)
+      recs.(a.a_client).(a.a_seq) <-
         { r_arrival = a.a_time;
           r_op = a.a_op;
           r_acks = 0;
@@ -345,18 +372,21 @@ let run (c : config) : report =
           r_applies = 0;
           r_pos = None })
     arrivals;
+  let known cl sq = cl >= 0 && cl < c.clients && sq >= 0 && sq < seq_ctr.(cl) in
   let violations = ref [] in
   let violation fmt =
     Printf.ksprintf
       (fun s -> if List.length !violations < 32 then violations := s :: !violations)
       fmt
   in
+  (* visit every request's record in (client, seq) order *)
+  let iter_recs f = Array.iteri (fun cl a -> Array.iteri (f cl) a) recs in
   let rec_of (r : Service.request) =
-    match Hashtbl.find_opt recs (r.client, r.seq) with
-    | Some x -> Some x
-    | None ->
+    if known r.client r.seq then Some recs.(r.client).(r.seq)
+    else begin
       violation "unknown request client=%d seq=%d" r.client r.seq;
       None
+    end
   in
   let completed = ref 0 in
   let applies = ref 0 in
@@ -421,13 +451,7 @@ let run (c : config) : report =
               in
               histories.(gs) <- (req.client, req.seq) :: histories.(gs)
             | _ -> ());
-            let key =
-              match e with
-              | E_apply (req, _) -> (req.Service.client, req.seq, 0)
-              | E_commit (req, _, _, _) -> (req.Service.client, req.seq, 1)
-              | E_ack (req, _, _, _) -> (req.Service.client, req.seq, 2)
-            in
-            acc := (eff_of e, key, e) :: !acc)
+            acc := (eff_of e, e) :: !acc)
           q;
         Queue.clear q)
       evq;
@@ -495,11 +519,11 @@ let run (c : config) : report =
     let pending = !deferred @ drain () in
     let ready, later =
       if all then (pending, [])
-      else List.partition (fun (eff, _, _) -> eff <= t_bar) pending
+      else List.partition (fun (eff, _) -> eff <= t_bar) pending
     in
     deferred := later;
-    List.stable_sort (fun (e1, k1, _) (e2, k2, _) -> compare (e1, k1) (e2, k2)) ready
-    |> List.iter (fun (_, _, e) -> process_event e)
+    List.stable_sort compare_ev ready
+    |> List.iter (fun (_, e) -> process_event e)
   in
   let cursor = ref 0 in
   let release_arrivals t_bar =
@@ -509,7 +533,7 @@ let run (c : config) : report =
       let a = arrivals.(!cursor) in
       incr cursor;
       let r = { Service.client = a.a_client; seq = a.a_seq; op = a.a_op } in
-      if issued.(a.a_client) <> None then Queue.push r backlog.(a.a_client)
+      if Option.is_some issued.(a.a_client) then Queue.push r backlog.(a.a_client)
       else issue r
     done
   in
@@ -573,7 +597,7 @@ let run (c : config) : report =
         crash_all ();
         recover_parallel ()
       | _ ->
-        if Array.for_all (fun r -> r = `Completed) results then account ()
+        if Array.for_all is_completed results then account ()
         else if rsteps >= c.watchdog then begin
           stalled := true;
           account ();
@@ -608,8 +632,8 @@ let run (c : config) : report =
               base + List.length logs.(li))
           (Service.checkpoint_state svc))
       services;
-    Hashtbl.iter
-      (fun (cl, sq) (x : rec_) ->
+    iter_recs
+      (fun cl sq (x : rec_) ->
         if x.r_acks > 0 then
           match x.r_pos with
           | Some (gs, slot) when slot >= extent.(gs) ->
@@ -622,16 +646,15 @@ let run (c : config) : report =
             violation
               "recovery: client=%d seq=%d acknowledged without an observed \
                commit"
-              cl sq)
-      recs;
+              cl sq);
     (* Detect mode's own obligation: at the recovered quiescent point
        every acknowledged request must answer [Completed] to the status
        query of the slice that owns its key — a descriptor lost (or a
        stale one mistaken for valid) surfaces here as a liveness lie
        rather than waiting for a re-send to double-apply. *)
     if c.detect then
-      Hashtbl.iter
-        (fun (cl, sq) (x : rec_) ->
+      iter_recs
+        (fun cl sq (x : rec_) ->
           if x.r_acks > 0 then begin
             let svc = services.(group_of_key (Service.key_of_op x.r_op)) in
             match Service.op_status svc ~client:cl ~seq:sq with
@@ -642,7 +665,6 @@ let run (c : config) : report =
                 cl sq
                 (Nvt_nvm.Detectable.status_name st)
           end)
-        recs
   in
   (* One era: start the services, re-send outstanding requests, then
      advance all machines barrier by barrier until they complete, the
@@ -678,7 +700,7 @@ let run (c : config) : report =
           (not !audit_mode) && !completed >= c.requests
           || (!audit_mode && !audit_acks >= !audit_expected)
         then stop_all ();
-        if Array.for_all (fun r -> r = `Completed) results then
+        if Array.for_all is_completed results then
           (* quiescent: sweep any acks still deferred past this barrier *)
           process_ready ~all:true !vtime
         else if era_steps >= c.watchdog then begin
@@ -750,18 +772,6 @@ let run (c : config) : report =
       (fun (_, pairs, _) ->
         List.iter (fun (k, v) -> Hashtbl.replace model k v) pairs)
       ckpt;
-    (* client -> highest checkpoint-covered seq: requests whose log
-       record was truncated away are vouched for by the checkpoint *)
-    let covered : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun (_, _, cov) ->
-        List.iter
-          (fun (cl, sq) ->
-            match Hashtbl.find_opt covered cl with
-            | Some s when s >= sq -> ()
-            | _ -> Hashtbl.replace covered cl sq)
-          cov)
-      ckpt;
     let apply_model (op : Service.op) : Service.result =
       match op with
       | Service.Put (k, v) ->
@@ -804,14 +814,17 @@ let run (c : config) : report =
           (fun li log -> logs.(Service.global_of_local svc li) <- log)
           (Service.committed_log svc))
       services;
-    let seen : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+    (* (client, seq) -> times committed, shaped like [recs] *)
+    let seen = Array.map (fun a -> Array.make (Array.length a) 0) recs in
     Array.iter
       (fun log ->
         List.iter
           (fun (e : Service.entry) ->
-            let k = (e.e_client, e.e_seq) in
-            Hashtbl.replace seen k
-              (1 + Option.value (Hashtbl.find_opt seen k) ~default:0);
+            if known e.e_client e.e_seq then
+              seen.(e.e_client).(e.e_seq) <- seen.(e.e_client).(e.e_seq) + 1
+            else
+              violation "unknown committed entry client=%d seq=%d" e.e_client
+                e.e_seq;
             let r = apply_model e.e_op in
             if !fired = 0 && r <> e.e_res then
               violation "crash-free replay: client=%d seq=%d %s -> %s, log says %s"
@@ -821,42 +834,41 @@ let run (c : config) : report =
                 (Format.asprintf "%a" Service.pp_result e.e_res))
           log)
       logs;
-    Hashtbl.iter
-      (fun (cl, sq) n ->
-        if n > 1 then
-          violation "client=%d seq=%d committed %d times" cl sq n)
+    Array.iteri
+      (fun cl a ->
+        Array.iteri
+          (fun sq n ->
+            if n > 1 then violation "client=%d seq=%d committed %d times" cl sq n)
+          a)
       seen;
     (* client -> highest committed seq visible anywhere (retained
-       suffix records or checkpoint coverage). A sequential client
-       submits seq n+1 only after seq n was acknowledged — and an ack
-       happens only after commit — so a later committed seq vouches
-       for every earlier acked one even when both its log record and
-       its dedup-snapshot entry are gone: the dedup table keeps only
-       each client's latest record, so a shard's next checkpoint drops
-       a client whose newer traffic moved to another shard. *)
-    let max_committed : (int, int) Hashtbl.t = Hashtbl.create 64 in
+       suffix records, or checkpoint coverage: requests whose log
+       record was truncated away are vouched for by the checkpoint's
+       dedup records). A sequential client submits seq n+1 only after
+       seq n was acknowledged — and an ack happens only after commit —
+       so a later committed seq vouches for every earlier acked one
+       even when both its log record and its dedup-snapshot entry are
+       gone: the dedup table keeps only each client's latest record,
+       so a shard's next checkpoint drops a client whose newer traffic
+       moved to another shard. *)
+    let max_committed = Array.make c.clients (-1) in
     let note cl sq =
-      match Hashtbl.find_opt max_committed cl with
-      | Some s when s >= sq -> ()
-      | _ -> Hashtbl.replace max_committed cl sq
+      if known cl sq && sq > max_committed.(cl) then max_committed.(cl) <- sq
     in
-    Hashtbl.iter (fun (cl, sq) _ -> note cl sq) seen;
-    Hashtbl.iter note covered;
-    Hashtbl.iter
-      (fun (cl, sq) (x : rec_) ->
+    Array.iteri
+      (fun cl a -> Array.iteri (fun sq n -> if n > 0 then note cl sq) a)
+      seen;
+    Array.iter (fun (_, _, cov) -> List.iter (fun (cl, sq) -> note cl sq) cov) ckpt;
+    iter_recs
+      (fun cl sq (x : rec_) ->
         if x.r_acks > 0 then begin
-          let vouched =
-            match Hashtbl.find_opt max_committed cl with
-            | Some s -> sq <= s
-            | None -> false
-          in
+          let vouched = sq <= max_committed.(cl) in
           if not vouched then
             violation "client=%d seq=%d acknowledged but not committed" cl sq;
           if !fired = 0 && x.r_applies <> 1 then
             violation "crash-free: client=%d seq=%d applied %d times" cl sq
               x.r_applies
-        end)
-      recs;
+        end);
     let actual =
       Array.to_list services
       |> List.concat_map Service.contents
@@ -882,9 +894,7 @@ let run (c : config) : report =
       Array.iteri
         (fun client seq ->
           if seq >= 0 then
-            match Hashtbl.find_opt recs (client, seq) with
-            | Some x -> submit_route { Service.client; seq; op = x.r_op }
-            | None -> ())
+            submit_route { Service.client; seq; op = recs.(client).(seq).r_op })
         last_acked;
       run_era None
     end

@@ -589,9 +589,12 @@ let checkpoint_shard t si =
   let sh = t.shards.(si) in
   let upto = sh.next_slot in
   if upto > sh.base then begin
+    (* Keys and clients are unique, so ordering by them alone gives the
+       canonical order a structural sort would, without its cost. *)
     let pairs =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror []
-      |> List.sort compare |> Array.of_list
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> Array.of_list
     in
     let dedup =
       Hashtbl.fold
@@ -602,7 +605,8 @@ let checkpoint_shard t si =
             :: acc
           else acc)
         t.last []
-      |> List.sort compare |> Array.of_list
+      |> List.sort (fun a b -> Int.compare a.k_client b.k_client)
+      |> Array.of_list
     in
     if upto > sh.committed then begin
       for slot = sh.committed to upto - 1 do

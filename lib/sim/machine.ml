@@ -7,7 +7,12 @@
    under the cost model. The runnable threads live in an indexed min-heap
    ({!Sched_heap}) keyed on (vtime, tid): this scheduler runs at every
    shared-memory step of every benchmark panel, so its cost is the floor
-   on simulation speed — see bench/selfperf.ml.
+   on simulation speed — see bench/selfperf.ml. That floor is one
+   effect suspend and resume, one in-place heap sift and one write
+   barrier (storing the continuation). A step allocates only the
+   runtime's continuation block: the yield handler is pre-built per
+   thread, the thread state is an immediate and the running thread is
+   an int, and test/test_sched.ml bounds the allocation per step.
 
    Every shared mutable word is a [cell] holding both a volatile value
    (what reads and writes touch) and a persistent value (what survives a
@@ -85,17 +90,44 @@ type pending = Pending : 'a cell * 'a * int -> pending
 
 let no_pending = Pending (dummy_cell, (), 0)
 
-type thread_state =
-  | Ready of (unit -> unit)
-  | Suspended of (unit, unit) Effect.Deep.continuation
+(* A thread's scheduling state. Constant constructors only, so the
+   field is an immediate and a step updates it without a write barrier;
+   the entry point, the continuation and a failure live in their own
+   fields of [thread]. *)
+type status =
+  | Ready  (* not started; [body] is its entry point *)
+  | Suspended  (* yielded at an access; [k] resumes it *)
   | Running
-  | Finished
-  | Failed of exn * Printexc.raw_backtrace
+  | Finished  (* returned, crashed, or died on the exception in [failure] *)
+
+type _ Effect.t += Yield : unit Effect.t
+
+(* A continuation that is never resumed: the value of [thread.k] while
+   the thread is not suspended, so the field needs no option box. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let k = ref None in
+  let park : ((unit, unit) Effect.Deep.continuation -> unit) option =
+    Some (fun c -> k := Some c)
+  in
+  Effect.Deep.match_with Effect.perform Yield
+    { retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield -> (park : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None) };
+  Option.get !k
+
+let no_body () = ()
 
 type thread = {
   tid : int;
   mutable vtime : int;
-  mutable state : thread_state;
+  mutable status : status;
+  mutable body : unit -> unit;  (* cleared when the fiber starts *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable pending : pending array;
       (* reusable FIFO of write-backs awaiting fence; the first
          [pending_count] slots are live *)
@@ -103,7 +135,8 @@ type thread = {
 }
 
 let dummy_thread =
-  { tid = -1; vtime = 0; state = Finished; pending = [||]; pending_count = 0 }
+  { tid = -1; vtime = 0; status = Finished; body = no_body; k = no_k;
+    failure = None; pending = [||]; pending_count = 0 }
 
 let push_pending th p =
   let n = Array.length th.pending in
@@ -159,10 +192,10 @@ type t = {
   mutable next_cid : int;
   mutable steps : int;
   mutable clock : int;  (* virtual time of the last scheduled action *)
-  mutable running : thread;
-      (* physically [dummy_thread] when no fiber is mid-step ("setup
-         mode"); a sentinel rather than an option so the hot-path tests
-         are pointer comparisons, not allocations and matches *)
+  mutable running : int;
+      (* tid of the fiber mid-step, -1 when none is ("setup mode"); an
+         int rather than the thread so setting it twice per step needs
+         no write barrier *)
   mutable crash_at_time : int option;
   mutable crash_at_step : int option;
   mutable scheduler : (t -> int list -> int) option;
@@ -182,8 +215,6 @@ type t = {
       (* called with (step, tid) at every executed scheduling step; the
          determinism tests use it to record the exact schedule. *)
 }
-
-type _ Effect.t += Yield : unit Effect.t
 
 (* The current machine is domain-local: each domain routes its memory
    operations to its own machine, which is what lets the service runner
@@ -209,7 +240,7 @@ let create ?(seed = 0) ?(cost = Cost_model.nvram) ?(eviction = No_eviction)
       next_cid = 0;
       steps = 0;
       clock = 0;
-      running = dummy_thread;
+      running = -1;
       crash_at_time = None;
       crash_at_step = None;
       scheduler = None;
@@ -242,18 +273,18 @@ let steps m = m.steps
 let stats m = m.stats
 let makespan m = m.clock
 
-let current_tid m =
-  let th = m.running in
-  if th == dummy_thread then -1 else th.tid
+let current_tid m = m.running
 
-let now m =
-  let th = m.running in
-  if th == dummy_thread then m.clock else th.vtime
+let now m = if m.running < 0 then m.clock else m.by_tid.(m.running).vtime
 
 let set_trace m ~capacity =
   m.tracer <- Some { ring = Array.make (max 1 capacity) None; total = 0 }
 
 let clear_trace m = m.tracer <- None
+
+(* Call sites test [tracing] first, so an untraced run never builds
+   the event. *)
+let tracing m = m.tracer != None
 
 let record_event m e =
   match m.tracer with
@@ -303,13 +334,14 @@ let clear_crash m =
 (* ------------------------------------------------------------------ *)
 
 let charge m c =
-  let th = m.running in
-  if th != dummy_thread then begin
+  let tid = m.running in
+  if tid >= 0 then begin
     let j = if m.jitter > 0 then Random.State.int m.rng (m.jitter + 1) else 0 in
+    let th = m.by_tid.(tid) in
     th.vtime <- th.vtime + c + j
   end
 
-let yield m = if m.running != dummy_thread then Effect.perform Yield
+let yield m = if m.running >= 0 then Effect.perform Yield
 
 let cell_is_clean c = match c.pst with Some p -> p == c.vol | None -> false
 
@@ -379,7 +411,7 @@ let check_corrupt c =
 (* Working-set model: with more live lines than cache capacity, a read
    hits with probability capacity/live (uniform-access approximation). *)
 let capacity_miss m =
-  m.running != dummy_thread
+  m.running >= 0
   && m.live_cells > m.cost.capacity_lines
   && Random.State.int m.rng m.live_cells >= m.cost.capacity_lines
 
@@ -406,8 +438,8 @@ let write c v =
   (* overwriting a corrupted cell redefines its contents *)
   c.corrupt <- false;
   m.stats.writes <- m.stats.writes + 1;
-  record_event m (Ev_write { step = m.steps; tid = current_tid m; cid = c.cid });
   let me = current_tid m in
+  if tracing m then record_event m (Ev_write { step = m.steps; tid = me; cid = c.cid });
   if c.owner <> me then charge m m.cost.read_miss;
   c.owner <- me;
   c.invalid <- false;
@@ -430,7 +462,8 @@ let cas c ~expected ~desired =
   if ok then begin
     c.vol <- desired;
     mark_dirty m c;
-    record_event m (Ev_write { step = m.steps; tid = me; cid = c.cid })
+    if tracing m then
+      record_event m (Ev_write { step = m.steps; tid = me; cid = c.cid })
   end;
   yield m;
   ok
@@ -440,8 +473,9 @@ let flush c =
   check_corrupt c;
   let site = Stats.take_site () in
   Stats.record_flush m.stats ~site;
-  record_event m
-    (Ev_flush { step = m.steps; tid = current_tid m; cid = c.cid; site });
+  if tracing m then
+    record_event m
+      (Ev_flush { step = m.steps; tid = current_tid m; cid = c.cid; site });
   let v = c.vol in
   if m.cost.flush_invalidates then c.invalid <- true;
   if cell_is_clean c then
@@ -449,10 +483,10 @@ let flush c =
        the invalidation above) is paid *)
     charge m m.cost.flush_clean
   else begin
-    (let th = m.running in
-     if th != dummy_thread then begin
+    (let tid = m.running in
+     if tid >= 0 then begin
        c.wb_seq <- c.wb_seq + 1;
-       push_pending th (Pending (c, v, c.wb_seq))
+       push_pending m.by_tid.(tid) (Pending (c, v, c.wb_seq))
      end
      else
        (* setup mode: flushes take effect immediately *)
@@ -466,7 +500,7 @@ let flush c =
    polling backoff and batch timeouts — a spin on a real cell would pay
    a read (and a scheduling step) per unit of waiting. *)
 let sleep m n =
-  if m.running != dummy_thread && n > 0 then begin
+  if m.running >= 0 && n > 0 then begin
     charge m n;
     yield m
   end
@@ -475,9 +509,11 @@ let fence () =
   let m = get () in
   let site = Stats.take_site () in
   Stats.record_fence m.stats ~site;
-  record_event m (Ev_fence { step = m.steps; tid = current_tid m; site });
-  (let th = m.running in
-   if th != dummy_thread then begin
+  if tracing m then
+    record_event m (Ev_fence { step = m.steps; tid = current_tid m; site });
+  (let tid = m.running in
+   if tid >= 0 then begin
+     let th = m.by_tid.(tid) in
      charge m
        (m.cost.fence_base + (m.cost.fence_per_pending * th.pending_count));
      (* complete the write-backs in flush order; the slots are cleared so
@@ -510,7 +546,8 @@ let spawn m f =
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
   let th =
-    { tid; vtime = m.clock; state = Ready f; pending = [||]; pending_count = 0 }
+    { tid; vtime = m.clock; status = Ready; body = f; k = no_k; failure = None;
+      pending = [||]; pending_count = 0 }
   in
   m.threads <- th :: m.threads;
   if tid >= Array.length m.by_tid then begin
@@ -523,7 +560,7 @@ let spawn m f =
   tid
 
 let runnable th =
-  match th.state with Ready _ | Suspended _ -> true | _ -> false
+  match th.status with Ready | Suspended -> true | _ -> false
 
 let set_scheduler m f = m.scheduler <- Some f
 let clear_scheduler m = m.scheduler <- None
@@ -583,20 +620,27 @@ let maybe_evict m =
       end
     end
 
+(* Built once per thread, when its fiber starts: the [Yield] case
+   returns the same pre-built [Some] closure at every step, so
+   suspending allocates nothing beyond the runtime's continuation. *)
 let handler th =
-  { Effect.Deep.retc = (fun () -> th.state <- Finished);
+  let on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option =
+    Some
+      (fun k ->
+        th.k <- k;
+        th.status <- Suspended)
+  in
+  { Effect.Deep.retc = (fun () -> th.status <- Finished);
     exnc =
       (fun e ->
-        match e with
-        | Crashed -> th.state <- Finished
-        | _ -> th.state <- Failed (e, Printexc.get_raw_backtrace ()));
+        (match e with
+        | Crashed -> ()
+        | _ -> th.failure <- Some (e, Printexc.get_raw_backtrace ()));
+        th.status <- Finished);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Yield ->
-          Some
-            (fun (k : (a, unit) Effect.Deep.continuation) ->
-              th.state <- Suspended k)
+        | Yield -> (on_yield : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None) }
 
 let crash m =
@@ -604,14 +648,17 @@ let crash m =
      unfenced write-backs by coin flip, then lose all volatile state. *)
   List.iter
     (fun th ->
-      (match th.state with
-      | Suspended k ->
-        m.running <- th;
-        (try Effect.Deep.discontinue k Crashed with Crashed -> ());
-        th.state <- Finished;
-        m.running <- dummy_thread
-      | Ready _ -> th.state <- Finished
-      | Running | Finished | Failed _ -> ());
+      (match th.status with
+      | Suspended ->
+        m.running <- th.tid;
+        (try Effect.Deep.discontinue th.k Crashed with Crashed -> ());
+        th.k <- no_k;
+        th.status <- Finished;
+        m.running <- -1
+      | Ready ->
+        th.body <- no_body;
+        th.status <- Finished
+      | Running | Finished -> ());
       for i = 0 to th.pending_count - 1 do
         if Random.State.bool m.rng then persist_pending m th.pending.(i);
         th.pending.(i) <- no_pending
@@ -638,17 +685,6 @@ let crash_due m th =
   (match m.crash_at_step with Some n -> m.steps >= n | None -> false)
   || match m.crash_at_time with Some t -> th.vtime >= t | None -> false
 
-(* Fail loudly if a fiber died on an unexpected exception, then close
-   the era: a clean completion leaves no threads behind. *)
-let finish m =
-  List.iter
-    (fun th ->
-      match th.state with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | _ -> ())
-    m.threads;
-  m.threads <- []
-
 (* Raise a failed fiber's exception without waiting for the era to end;
    used when pausing at a barrier so an external driver interleaving
    machines surfaces a [Corrupt_read] (or any bug) promptly instead of
@@ -656,10 +692,16 @@ let finish m =
 let raise_any_failed m =
   List.iter
     (fun th ->
-      match th.state with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | _ -> ())
+      match th.failure with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ())
     m.threads
+
+(* Fail loudly if a fiber died on an unexpected exception, then close
+   the era: a clean completion leaves no threads behind. *)
+let finish m =
+  raise_any_failed m;
+  m.threads <- []
 
 let do_crash m t =
   if t > m.clock then m.clock <- t;
@@ -669,7 +711,8 @@ let do_crash m t =
   m.crash_at_step <- None
 
 (* Execute exactly one scheduling action of [th] (a stall draw counts:
-   the thread lost the CPU instead of acting). The rng-draw order —
+   the thread lost the CPU instead of acting); the caller puts [th] back
+   in scheduling order. The rng-draw order —
    crash check, stall draw, step count, eviction draw, jitter in the
    fiber's charges — must match the historical run loop exactly: the
    golden-schedule test pins it bit for bit. *)
@@ -679,24 +722,24 @@ let exec_one m th =
     when Random.State.float m.rng 1.0 < probability ->
     (* the thread loses the CPU instead of acting; someone else may
        now be scheduled first *)
-    th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units;
-    reschedule m th
+    th.vtime <- th.vtime + 1 + Random.State.int m.rng max_units
   | Some _ | None ->
     m.steps <- m.steps + 1;
     (match m.on_step with Some f -> f m.steps th.tid | None -> ());
     if th.vtime > m.clock then m.clock <- th.vtime;
     maybe_evict m;
-    m.running <- th;
-    (match th.state with
-    | Ready f ->
-      th.state <- Running;
+    m.running <- th.tid;
+    (match th.status with
+    | Ready ->
+      let f = th.body in
+      th.body <- no_body;
+      th.status <- Running;
       Effect.Deep.match_with f () (handler th)
-    | Suspended k ->
-      th.state <- Running;
-      Effect.Deep.continue k ()
-    | Running | Finished | Failed _ -> assert false);
-    m.running <- dummy_thread;
-    reschedule m th
+    | Suspended ->
+      th.status <- Running;
+      Effect.Deep.continue th.k ()
+    | Running | Finished -> assert false);
+    m.running <- -1
 
 (* One step of the scheduling loop, pausing (without executing) when
    the next thread's virtual time has reached [time]. The default path
@@ -722,6 +765,7 @@ let step_once m ~time =
       end
       else begin
         exec_one m th;
+        reschedule m th;
         `Progress
       end
     end
@@ -746,6 +790,7 @@ let step_once m ~time =
       end
       else begin
         exec_one m th;
+        reschedule m th;
         `Progress
       end)
 

@@ -1,6 +1,6 @@
 (* The native Atomic-based backend, exercised with real OCaml domains.
-   (This host is single-core, so these test atomicity under preemption
-   rather than parallel scaling.) *)
+   These test atomicity under parallel execution (or under preemption,
+   on a single-core host), not scaling. *)
 
 module Nvm = Nvt_nvm
 module P = Nvm.Persist.Make (Nvm.Native)
@@ -55,6 +55,30 @@ let contended_mix () =
   List.iter Domain.join domains;
   L.check_invariants s
 
+(* Counters outlive the domain that counted them: an exiting domain
+   hands its counts to the retired total, so [stats] still sees them
+   and [reset_stats] still clears them. *)
+let counters_outlive_domains () =
+  let module N = Nvm.Native in
+  N.reset_stats ();
+  let c = N.alloc 0 in
+  for _ = 1 to 3 do
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 100 do
+              ignore (N.read c)
+            done;
+            N.fence ()))
+    |> List.iter Domain.join
+  done;
+  let st = N.stats () in
+  Alcotest.(check int) "reads of joined domains" 600 st.reads;
+  Alcotest.(check int) "fences of joined domains" 6 st.fences;
+  N.reset_stats ();
+  let st = N.stats () in
+  Alcotest.(check int) "reset clears retired reads" 0 st.reads;
+  Alcotest.(check int) "reset clears retired fences" 0 st.fences
+
 let queue_multiset () =
   let q = Q.create () in
   let popped = Array.make 2 [] in
@@ -86,4 +110,6 @@ let suite =
   [ Alcotest.test_case "disjoint inserts across domains" `Quick
       disjoint_inserts;
     Alcotest.test_case "contended mixed workload" `Quick contended_mix;
-    Alcotest.test_case "queue multiset across domains" `Quick queue_multiset ]
+    Alcotest.test_case "queue multiset across domains" `Quick queue_multiset;
+    Alcotest.test_case "counters outlive their domains" `Quick
+      counters_outlive_domains ]

@@ -263,6 +263,89 @@ let checkpoint_truncation_bounds_live_cells () =
         early last
   | _ -> assert false
 
+(* The runner and the service keep host-side bookkeeping (the oracle's
+   index, the merge of worker events, checkpoint snapshots) that no
+   simulated number may depend on. Pin a small crash-and-checkpoint
+   run's simulated totals exactly, for group commit, per-op commit and
+   a crash during recovery, so a rewrite of that bookkeeping that moved
+   a single access, flush or checkpoint fails here. If a change is
+   *meant* to move these numbers, re-record them and say why. *)
+let service_fingerprint_is_pinned () =
+  let base =
+    { svc_base with
+      requests = 400;
+      checkpoint_interval = 4000;
+      crash_steps = [ 1500; 1500; 1500 ] }
+  in
+  List.iter
+    (fun (name, cfg, (steps, makespan, flushes, fences, checkpoints,
+                      recovery_steps, replayed)) ->
+      let r = Runner.run cfg in
+      svc_clean name r;
+      let pin what expected got =
+        Alcotest.(check int) (name ^ ": " ^ what) expected got
+      in
+      pin "acked" 400 r.acked;
+      pin "steps" steps r.steps;
+      pin "makespan" makespan r.makespan;
+      pin "flushes" flushes r.stats.flushes;
+      pin "fences" fences r.stats.fences;
+      pin "checkpoints" checkpoints r.checkpoints;
+      pin "recovery_steps" recovery_steps r.recovery_steps;
+      pin "replayed" replayed r.replayed)
+    [ ("group", base, (31630, 306054, 2177, 1526, 156, 18912, 9));
+      ( "per-op",
+        { base with mode = Svc.Per_op },
+        (28315, 255045, 2316, 2065, 146, 18908, 14) );
+      ( "recovery crash",
+        { base with crash_steps = [ 1500; 1500 ]; recovery_crashes = [ 300 ] },
+        (25553, 302040, 2130, 1497, 153, 12930, 12) ) ]
+
+(* The checkpoint snapshot's canonical order: store pairs strictly
+   ascending by key, dedup records strictly ascending by client,
+   which is what recovery and the runner's replay model read back. *)
+let checkpoint_snapshot_is_ordered () =
+  let m = Machine.create ~seed:5 () in
+  Machine.set_current m;
+  let structure = List.assoc "hash" I.structures in
+  let flavour =
+    match I.flavour "nvt" with Some f -> f | None -> assert false
+  in
+  let svc =
+    Svc.create ~checkpoint:2000 ~structure ~flavour ~shards:2
+      ~mode:Svc.Per_op ()
+  in
+  Svc.prefill svc (List.init 40 (fun i -> 3 * i));
+  Machine.persist_all m;
+  Svc.start svc m;
+  for i = 0 to 209 do
+    let k = i * 37 mod 128 in
+    Svc.submit svc
+      { Svc.client = i mod 7;
+        seq = i / 7;
+        op = (if i mod 3 = 0 then Svc.Del k else Svc.Put (k, i)) }
+  done;
+  Svc.request_stop svc;
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let nonempty = ref 0 in
+  Array.iteri
+    (fun si (base, pairs, covered) ->
+      if base > 0 && List.length pairs > 1 && List.length covered > 1 then
+        incr nonempty;
+      if not (ascending (List.map fst pairs)) then
+        Alcotest.failf "shard %d: snapshot keys not strictly ascending" si;
+      if not (ascending (List.map fst covered)) then
+        Alcotest.failf "shard %d: dedup records not strictly ascending by client" si)
+    (Svc.checkpoint_state svc);
+  if !nonempty = 0 then
+    Alcotest.fail "no shard committed a multi-entry checkpoint — nothing checked"
+
 (* Regression: rebuilding the dedup table from the committed log must
    let the *last* committed record win on equal (client, seq) — a
    re-sent request can legitimately commit once per era, and only the
@@ -469,6 +552,10 @@ let suite =
         `Quick watchdog_arms_under_pending_crash;
       Alcotest.test_case "service: checkpoint truncation retires cells"
         `Quick checkpoint_truncation_bounds_live_cells;
+      Alcotest.test_case "service: crash-and-checkpoint fingerprint is pinned"
+        `Quick service_fingerprint_is_pinned;
+      Alcotest.test_case "service: checkpoint snapshots are in key order"
+        `Quick checkpoint_snapshot_is_ordered;
       Alcotest.test_case "service: dedup rebuild is last-committed-wins"
         `Quick dedup_rebuild_last_committed_wins;
       Alcotest.test_case

@@ -1,7 +1,7 @@
 (* The scheduler after the heap rewrite: the default schedule is pinned
-   exactly (golden trace), the heap and the dirty set are model-checked
-   against naive references, and the working-set estimate shrinks when
-   the reclamation layer frees nodes.
+   exactly (golden trace), a step's allocation is bounded, the heap and
+   the dirty set are model-checked against naive references, and the
+   working-set estimate shrinks when the reclamation layer frees nodes.
 
    The golden trace is deliberately brittle: the heap rewrite's contract
    was "same thread at every step", so any change to the default
@@ -120,6 +120,75 @@ let replay_is_identical () =
     in
     first_diff 0 (a, b)
   end
+
+(* Minor words one bare effect round trip (perform, then continue)
+   allocates on this runtime: the continuation block alone. The handler
+   is pre-built and the continuation is parked in a reused array slot,
+   so nothing else allocates per round trip. *)
+type _ Effect.t += Ping : unit Effect.t
+
+let continuation_words () =
+  let n = 10_000 in
+  let slot = ref [||] in
+  let park : ((unit, unit) Effect.Deep.continuation -> unit) option =
+    Some (fun k -> if Array.length !slot = 0 then slot := [| k |] else !slot.(0) <- k)
+  in
+  let handler =
+    { Effect.Deep.retc = (fun () -> slot := [||]);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Ping -> (park : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None) }
+  in
+  Effect.Deep.match_with
+    (fun () ->
+      for _ = 0 to n do
+        Effect.perform Ping
+      done)
+    () handler;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Effect.Deep.continue !slot.(0) ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Effect.Deep.continue !slot.(0) ();
+  words /. float_of_int n
+
+(* Hot-path allocation guard: a step may allocate only the runtime's
+   continuation block (2 words on OCaml 5.1), plus at most one word of
+   slack (Gc.minor_words itself boxes a float). Sixteen threads each
+   read their own cell, so every step takes the plain read path: no
+   flush records, no rng draws, no shared lines. A per-step handler
+   closure or a boxed thread state (10 words per step on this scenario)
+   trips the bound. The one-off per-thread cost (handler, first resume)
+   is amortised over 2000 steps per thread. *)
+let step_allocates_only_the_continuation () =
+  let m = Machine.create ~seed:1 ~cost:Cost_model.nvram () in
+  let reads = 2000 in
+  for _ = 1 to 16 do
+    let c = Sim_mem.alloc 0 in
+    ignore
+      (Machine.spawn m (fun () ->
+           for _ = 1 to reads do
+             ignore (Sys.opaque_identity (Sim_mem.read c))
+           done))
+  done;
+  Machine.persist_all m;
+  let steps0 = Machine.steps m in
+  let w0 = Gc.minor_words () in
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  let words = Gc.minor_words () -. w0 in
+  let steps = Machine.steps m - steps0 in
+  (* a thread's last step runs from its last read to its return *)
+  Alcotest.(check int) "one step per read" (16 * (reads + 1)) steps;
+  let per_step = words /. float_of_int steps in
+  let bound = continuation_words () +. 1.0 in
+  if per_step > bound then
+    Alcotest.failf "%.2f minor words per step (bound %.2f)" per_step bound
 
 (* ------------------------------------------------------------------ *)
 (* Sched_heap vs. a naive reference                                    *)
@@ -368,6 +437,8 @@ let suite =
       golden_schedule;
     Alcotest.test_case "replay picks the same thread at every step" `Quick
       replay_is_identical;
+    Alcotest.test_case "a step allocates only its continuation" `Quick
+      step_allocates_only_the_continuation;
     QCheck_alcotest.to_alcotest heap_model_test;
     Alcotest.test_case "heap rejects misuse" `Quick heap_rejects_misuse;
     QCheck_alcotest.to_alcotest dirty_model_test;
