@@ -18,6 +18,13 @@
    entries replayed, aggregate steps and virtual time spent inside the
    recovery pass. checkpoint_interval = 0 is the full-replay baseline.
 
+   Store-size axis: the sweep runs over 256 keys; the checkpointed
+   1000-request cells are repeated over 4096 keys. Each row records the
+   store's live keys and prints recovery steps per live key. Recovery
+   still walks every shard's whole store once (every bucket head, then
+   every node), so its steps grow with the store; no gate holds them
+   flat along this axis yet.
+
    Self-gates (all also recomputed by tools/validate_bench.py):
    - every run exact-once clean;
    - checkpointed recovery replays no more than the baseline, at every
@@ -33,6 +40,7 @@ module Json = Nvt_harness.Json
 
 type row = {
   rw_requests : int;
+  rw_keys : int;  (* key range; the store holds about half of it *)
   rw_domains : int;
   rw_interval : int;
   rw_crash_step : int;
@@ -40,7 +48,11 @@ type row = {
   rw_wall : float;
 }
 
-let base ~seed ~requests ~domains ~interval =
+let base_keys = 256
+let store_size_keys = 4096
+let store_size_requests = 1000
+
+let base ~seed ~requests ~keys ~domains ~interval =
   { Runner.default_config with
     structure = "hash";
     flavour = "nvt";
@@ -51,7 +63,7 @@ let base ~seed ~requests ~domains ~interval =
     mean_gap = 300;
     skew = 0.;
     update_pct = 60;
-    key_range = 256;
+    key_range = keys;
     (* per-op commit: every request appends and commits one log entry,
        so the committed-log length tracks the request count exactly *)
     mode = Service.Per_op;
@@ -59,14 +71,15 @@ let base ~seed ~requests ~domains ~interval =
     checkpoint_interval = interval;
     watchdog = 40_000_000 }
 
-let cell ~seed ~requests ~domains ~interval =
-  let cfg = base ~seed ~requests ~domains ~interval in
+let cell ~seed ~requests ~keys ~domains ~interval =
+  let cfg = base ~seed ~requests ~keys ~domains ~interval in
   let probe = Runner.run cfg in
   let crash_step = probe.steps * 9 / 10 in
   let t0 = Unix.gettimeofday () in
   let r = Runner.run { cfg with crash_steps = [ crash_step ] } in
   let wall = Unix.gettimeofday () -. t0 in
   { rw_requests = requests;
+    rw_keys = keys;
     rw_domains = domains;
     rw_interval = interval;
     rw_crash_step = crash_step;
@@ -77,6 +90,8 @@ let row_json (x : row) : Json.t =
   let r = x.rw_report in
   Json.Obj
     [ ("requests", Json.Int x.rw_requests);
+      ("key_range", Json.Int x.rw_keys);
+      ("live_keys", Json.Int r.live_keys);
       ("domains", Json.Int x.rw_domains);
       ("checkpoint_interval", Json.Int x.rw_interval);
       ("crash_step", Json.Int x.rw_crash_step);
@@ -98,10 +113,23 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
   let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   Printf.printf
     "service recovery bench (%s): hash/nvt, 4 shards, per-op commit\n\
-     %8s %7s %8s %9s %9s %8s %9s %9s %9s %6s\n"
+     %8s %5s %5s %7s %8s %9s %9s %8s %9s %9s %9s %9s %6s\n"
     (if quick then "quick" else "full")
-    "requests" "domains" "interval" "committed" "ckpts" "replayed"
-    "rec steps" "rec time" "wall s" "viols";
+    "requests" "keys" "live" "domains" "interval" "committed" "ckpts"
+    "replayed" "rec steps" "steps/key" "rec time" "wall s" "viols";
+  let row ~requests ~keys ~domains ~interval =
+    let x = cell ~seed ~requests ~keys ~domains ~interval in
+    let r = x.rw_report in
+    Printf.printf
+      "%8d %5d %5d %7d %8d %9d %9d %8d %9d %9.2f %9d %9.3f %6d\n%!"
+      requests keys r.live_keys domains interval r.committed r.checkpoints
+      r.replayed r.recovery_steps
+      (float_of_int r.recovery_steps /. float_of_int (max 1 r.live_keys))
+      r.recovery_time x.rw_wall
+      (List.length r.violations);
+    List.iter (fun v -> Printf.printf "    VIOLATION: %s\n" v) r.violations;
+    x
+  in
   let rows =
     List.concat_map
       (fun requests ->
@@ -109,20 +137,24 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
           (fun domains ->
             List.map
               (fun interval ->
-                let x = cell ~seed ~requests ~domains ~interval in
-                let r = x.rw_report in
-                Printf.printf
-                  "%8d %7d %8d %9d %9d %8d %9d %9d %9.3f %6d\n%!"
-                  requests domains interval r.committed r.checkpoints
-                  r.replayed r.recovery_steps r.recovery_time x.rw_wall
-                  (List.length r.violations);
-                List.iter
-                  (fun v -> Printf.printf "    VIOLATION: %s\n" v)
-                  r.violations;
-                x)
+                row ~requests ~keys:base_keys ~domains ~interval)
               intervals)
           domain_counts)
       sizes
+  in
+  (* the store-size axis: outside the log-length gates below *)
+  let big_store =
+    List.concat_map
+      (fun domains ->
+        List.filter_map
+          (fun interval ->
+            if interval = 0 then None
+            else
+              Some
+                (row ~requests:store_size_requests ~keys:store_size_keys
+                   ~domains ~interval))
+          intervals)
+      domain_counts
   in
   let ok = ref true in
   let fail fmt = Printf.ksprintf (fun s -> Printf.printf "FAIL: %s\n" s; ok := false) fmt in
@@ -139,7 +171,7 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
       if x.rw_interval > 0 && x.rw_report.checkpoints = 0 then
         fail "requests=%d domains=%d interval=%d took no checkpoints"
           x.rw_requests x.rw_domains x.rw_interval)
-    rows;
+    (rows @ big_store);
   let find requests domains interval =
     List.find
       (fun x ->
@@ -196,7 +228,7 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
           ("shards", Json.Int 4);
           ("mode", Json.Str "per-op");
           ("gate_ok", Json.Bool !ok);
-          ("rows", Json.List (List.map row_json rows)) ]
+          ("rows", Json.List (List.map row_json (rows @ big_store))) ]
     in
     Json.write_file path json;
     Printf.printf "wrote %s\n%!" path);

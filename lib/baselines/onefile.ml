@@ -226,6 +226,10 @@ module Set (M : Nvt_nvm.Memory.S) = struct
     in
     go [] (fst (M.read t.head))
 
+  let recover_contents t =
+    recover t;
+    to_list t
+
   let size t = List.length (to_list t)
 
   let check_invariants t =

@@ -26,6 +26,14 @@ module type SET = sig
       other operation. Executes the [disconnect(root)] supplement and
       rebuilds any auxiliary (non-core) parts of the structure. *)
 
+  val recover_contents : t -> (int * int) list
+  (** [recover], then the contents in key order: the same pairs, and
+      the same post-recovery structure, as [recover t; to_list t].
+      Structures whose recovery already walks every node (the Harris
+      list, and hash tables of them) collect the pairs on that walk
+      instead of walking again, so a caller that needs both — the
+      service's store reconcile — reads each node once. *)
+
   val to_list : t -> (int * int) list
   (** Snapshot of the current contents in key order. Quiescent use only. *)
 

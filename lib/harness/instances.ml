@@ -147,6 +147,10 @@ let instantiate (module Str : STRUCTURE) (module Pol : POLICY) : (module SET) =
     let recover t =
       A.recover ();
       S.recover t
+
+    let recover_contents t =
+      A.recover ();
+      S.recover_contents t
   end)
 
 (* Flavour-aware instantiation: resolves the flavour's structure variant

@@ -149,6 +149,7 @@ type report = {
   replayed : int;  (* log entries replayed by recovery passes *)
   recovery_steps : int;  (* aggregate steps spent inside recovery *)
   recovery_time : int;  (* virtual time consumed by recovery passes *)
+  live_keys : int;  (* committed store size at the end; 0 if stalled *)
   eras : int;
   makespan : int;
   steps : int;
@@ -745,6 +746,7 @@ let run (c : config) : report =
   in
 
   (* ---- final-state verification (setup mode) ---- *)
+  let live_keys = ref 0 in
   if not !stalled then begin
     (try Array.iter Service.check_invariants services
      with Failure msg -> violation "invariant: %s" msg);
@@ -869,6 +871,7 @@ let run (c : config) : report =
             violation "crash-free: client=%d seq=%d applied %d times" cl sq
               x.r_applies
         end);
+    live_keys := Hashtbl.length model;
     let actual =
       Array.to_list services
       |> List.concat_map Service.contents
@@ -939,6 +942,7 @@ let run (c : config) : report =
         0 services;
     recovery_steps = !recovery_steps;
     recovery_time = !recovery_time;
+    live_keys = !live_keys;
     eras = !eras_count;
     makespan = main_makespan;
     steps = main_steps;

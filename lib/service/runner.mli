@@ -99,6 +99,10 @@ type report = {
   recovery_time : int;
       (** virtual time consumed by recovery passes — the availability
           gap the recovery bench measures *)
+  live_keys : int;
+      (** keys in the committed store at the end of the run (the size of
+          the replay model the final state is checked against); 0 when
+          the run stalled *)
   eras : int;
   makespan : int;
   steps : int;

@@ -49,14 +49,17 @@
    estimate and recovery cost track the delta since the last
    checkpoint, not the uptime.
 
-   Recovery reads each shard's durable index, truncates the volatile
-   log to it (dropping — and retiring — cells beyond: a crash may have
-   left them corrupt, and FliT's write instruments a read of the old
-   value, so overwriting a corrupt cell is not an option), restores the
+   Recovery first recovers each shard's store through its own policy,
+   in one walk that also returns the store's contents. It then reads
+   the shard's durable index, truncates the volatile log to it
+   (dropping — and retiring — cells beyond: a crash may have left them
+   corrupt, and FliT's write instruments a read of the old value, so
+   overwriting a corrupt cell is not an option), restores the
    checkpoint snapshot if one committed, replays only the remaining
    committed suffix to rebuild the per-client deduplication table
-   (last committed entry wins on equal (client, seq)), and leaves the
-   store to recover through its own policy. Re-sent requests whose
+   (last committed entry wins on equal (client, seq)) and the committed
+   mirror, and reconciles the store's contents to that mirror without
+   walking the store again. Re-sent requests whose
    record is committed are answered from the table without touching
    the store — exactly-once acknowledgement. {!spawn_recovery} runs
    the same per-shard recovery as simulated threads, so shards recover
@@ -124,12 +127,17 @@ type ckpt_dedup = { k_client : int; k_seq : int; k_slot : int; k_res : result }
 (* The structure module is existential; close over its operations. *)
 type store = {
   apply : op -> result;
-  st_recover : unit -> unit;
+  st_recover : unit -> (int * int) list option;
+      (* the structure's recovery. Under a durable policy it also
+         returns the recovered contents in key order, read on the same
+         walk, for [st_reconcile]; under a volatile one [None], since
+         the log is no truer than the store there (see [recover_shard]) *)
   st_contents : unit -> (int * int) list;
-  st_reconcile : (int * int) list -> unit;
-      (* make the structure's contents equal the given pairs — recovery
-         calls this with the rebuilt committed-prefix mirror to undo
-         persisted effects of applies that never committed *)
+  st_reconcile : have:(int * int) list -> (int * int) list -> unit;
+      (* make the structure's contents, [have], equal the given pairs —
+         recovery calls this with what [st_recover] returned and the
+         rebuilt committed-prefix mirror, to undo persisted effects of
+         applies that never committed *)
   st_check : unit -> unit;
 }
 
@@ -251,20 +259,20 @@ let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
           | None ->
             ignore (S.insert s ~key:k ~value:d);
             Value None));
-    st_recover = (fun () -> S.recover s);
+    st_recover =
+      (let (module Pol : I.POLICY) = policy in
+       if Pol.durable then fun () -> Some (S.recover_contents s)
+       else fun () ->
+         S.recover s;
+         None);
     st_contents = (fun () -> S.to_list s);
     st_reconcile =
-      (fun pairs ->
+      (fun ~have pairs ->
         (* delete keys the committed truth does not have (or holds at a
            different value), then insert what is missing; the ops run
            through the policy, so the fix-ups persist like any other
-           update. Only a durable policy earns this: under a volatile
-           flavour the log is no truer than the store, and rebuilding
-           from it would mask exactly the lost-acknowledgement window
-           the negative control exists to detect. *)
-        let (module Pol : I.POLICY) = policy in
-        if not Pol.durable then ()
-        else
+           update. [have] is the store as recovery left it, so the diff
+           itself reads nothing. *)
         let want = Hashtbl.create (List.length pairs * 2) in
         List.iter (fun (k, v) -> Hashtbl.replace want k v) pairs;
         List.iter
@@ -272,7 +280,7 @@ let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
             match Hashtbl.find_opt want k with
             | Some v' when v' = v -> Hashtbl.remove want k
             | Some _ | None -> ignore (S.delete s k))
-          (S.to_list s);
+          have;
         Hashtbl.iter (fun k v -> ignore (S.insert s ~key:k ~value:v)) want);
     st_check = (fun () -> S.check_invariants s) }
 
@@ -791,14 +799,15 @@ let begin_recovery t =
   Hashtbl.reset t.last;
   t.desc_reset ()
 
-(* Recover one shard: durable index -> truncate (retiring dropped
-   cells) -> restore the checkpoint snapshot -> replay the remaining
-   committed suffix. Restartable: a crash during recovery loses only
-   volatile state, and re-running retires only cells not already
-   dropped. *)
+(* Recover one shard: store recovery (returning its contents) ->
+   durable index -> truncate (retiring dropped cells) -> restore the
+   checkpoint snapshot -> replay the remaining committed suffix ->
+   reconcile the store to the mirror. Restartable: a crash during
+   recovery loses only volatile state, and re-running retires only
+   cells not already dropped. *)
 let recover_shard t si =
   let sh = t.shards.(si) in
-  sh.store.st_recover ();
+  let have = sh.store.st_recover () in
   Queue.clear sh.queue;
   let idx = sh.ledger.read_index () in
   sh.ledger.truncate idx;
@@ -840,9 +849,17 @@ let recover_shard t si =
      applies that never committed by reconciling the store to the
      rebuilt mirror. Idempotent ops (put/del) masked this window — a
      re-sent put converges on its own — but a non-idempotent RMW (or a
-     multi-put the crash split) double-applies without it. *)
-  sh.store.st_reconcile
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror [])
+     multi-put the crash split) double-applies without it. The store's
+     contents were read by its own recovery walk above; nothing has
+     touched the store since. Only a durable policy earns this: under a
+     volatile flavour the log is no truer than the store, and rebuilding
+     from it would mask exactly the lost-acknowledgement window the
+     negative control exists to detect. *)
+  match have with
+  | None -> ()
+  | Some have ->
+    sh.store.st_reconcile ~have
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.mirror [])
 
 let recover t =
   begin_recovery t;
@@ -866,7 +883,7 @@ let spawn_recovery t m =
 let contents t =
   Array.to_list t.shards
   |> List.concat_map (fun sh -> sh.store.st_contents ())
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let check_invariants t =
   Array.iter (fun sh -> sh.store.st_check ()) t.shards

@@ -44,6 +44,10 @@ module Wrap (B : BASE) = struct
       D.audit t.desc;
       S.recover t.base
 
+    let recover_contents t =
+      D.audit t.desc;
+      S.recover_contents t.base
+
     let to_list t = S.to_list t.base
     let size t = S.size t.base
     let check_invariants t = S.check_invariants t.base

@@ -216,25 +216,41 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   (* ---------------- recovery (Supplement 1) ---------------- *)
 
-  let recover t =
-    let rec first_unmarked n =
-      match n with
-      | Tail -> Tail
-      | Node m ->
-        let sm = M.read m.next in
-        if sm.marked then first_unmarked sm.nx else n
-    in
-    let rec go u =
-      let s = M.read u.next in
-      let w = first_unmarked s.nx in
+  (* One walk from the head: [go u s] holds a surviving node [u] and the
+     [next] it read, [s]. [first_unmarked] skips the marked run below
+     [u], swings [u.next] past it, hands the first unmarked node to [f]
+     and continues from that node with the [next] it already read, so
+     every [next] field is read exactly once. *)
+  let recover_fold f acc t =
+    let trim u s w =
       if w != s.nx then begin
         M.write u.next { marked = false; nx = w };
         P.flush u.next;
         P.fence ()
-      end;
-      match w with Tail -> () | Node m -> go m
+      end
     in
-    go t.head
+    let rec go acc u s =
+      let rec first_unmarked n =
+        match n with
+        | Tail ->
+          trim u s n;
+          acc
+        | Node m ->
+          let sm = M.read m.next in
+          if sm.marked then first_unmarked sm.nx
+          else begin
+            trim u s n;
+            go (f acc m) m sm
+          end
+      in
+      first_unmarked s.nx
+    in
+    go acc t.head (M.read t.head.next)
+
+  let recover t = recover_fold (fun () _ -> ()) () t
+
+  let recover_contents t =
+    List.rev (recover_fold (fun acc m -> M.read m.kv :: acc) [] t)
 
   (* ---------------- quiescent helpers ---------------- *)
 

@@ -32,10 +32,15 @@ module Make_generic (S : Nvt_core.Set_intf.SET) = struct
 
   let recover t = Array.iter S.recover t.buckets
 
-  let to_list t =
+  (* keys are unique across buckets, so ordering by key alone is total *)
+  let by_key f t =
     Array.to_list t.buckets
-    |> List.concat_map S.to_list
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.concat_map f
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+  let recover_contents t = by_key S.recover_contents t
+
+  let to_list t = by_key S.to_list t
 
   let size t = Array.fold_left (fun acc b -> acc + S.size b) 0 t.buckets
 

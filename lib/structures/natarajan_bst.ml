@@ -312,6 +312,10 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   let to_list t = List.rev (fold (fun acc kv -> kv :: acc) [] t)
 
+  let recover_contents t =
+    recover t;
+    to_list t
+
   let size t = fold (fun n _ -> n + 1) 0 t
 
   (* Routing sends k < node.key left, so left-subtree keys are <= the

@@ -273,6 +273,10 @@ module Make (M : Nvt_nvm.Memory.S) (P : Nvt_nvm.Persist.Make(M).S) = struct
 
   let to_list t = List.rev (fold (fun acc kv -> kv :: acc) [] t)
 
+  let recover_contents t =
+    recover t;
+    to_list t
+
   let size t = fold (fun n _ -> n + 1) 0 t
 
   let check_invariants t =

@@ -107,6 +107,7 @@ module Racy_set = struct
   let find t k = List.assoc_opt k (Sim_mem.read t.cells)
   let recover _ = ()
   let to_list t = List.sort compare (Sim_mem.read t.cells)
+  let recover_contents t = to_list t
   let size t = List.length (Sim_mem.read t.cells)
   let check_invariants _ = ()
 end

@@ -293,13 +293,13 @@ let service_fingerprint_is_pinned () =
       pin "checkpoints" checkpoints r.checkpoints;
       pin "recovery_steps" recovery_steps r.recovery_steps;
       pin "replayed" replayed r.replayed)
-    [ ("group", base, (31630, 306054, 2177, 1526, 156, 18912, 9));
+    [ ("group", base, (22571, 314094, 2180, 1529, 155, 9485, 17));
       ( "per-op",
         { base with mode = Svc.Per_op },
-        (28315, 255045, 2316, 2065, 146, 18908, 14) );
+        (19024, 255093, 2359, 2091, 146, 9510, 4) );
       ( "recovery crash",
         { base with crash_steps = [ 1500; 1500 ]; recovery_crashes = [ 300 ] },
-        (25553, 302040, 2130, 1497, 153, 12930, 12) ) ]
+        (19075, 294063, 2129, 1492, 150, 6633, 13) ) ]
 
 (* The checkpoint snapshot's canonical order: store pairs strictly
    ascending by key, dedup records strictly ascending by client,
@@ -516,6 +516,103 @@ let checkpointed_histories_domain_independent () =
         r1.truncated rn.truncated)
     [ 3 ]
 
+(* [recover_contents] is [recover] then [to_list], fused: on twin
+   seeded runs crashed at the same step, one side recovers through the
+   fused walk and the other through the two calls. Both must return the
+   same pairs (or fail recovery alike) and leave the same structure, for
+   every registry structure under every durable flavour, through the
+   flavour's own variant or wrapper. Under det, a second pass suppresses
+   det:complete so the descriptor audit must fail recovery: a wrapper
+   whose fused path skipped its hook would recover cleanly there. *)
+let recover_contents_matches_recover_then_to_list () =
+  let crashed_era (type a) (module S : SET with type t = a) ~seed ~crash :
+      a option =
+    let m =
+      Machine.create ~seed ~eviction:(Machine.Random_eviction 0.05) ()
+    in
+    let s = S.create () in
+    List.iter
+      (fun k -> ignore (S.insert s ~key:k ~value:(k * 3)))
+      [ 1; 3; 4; 6; 9 ];
+    Machine.persist_all m;
+    for tid = 0 to 3 do
+      let rng = Random.State.make [| seed; tid; 11 |] in
+      ignore
+        (Machine.spawn m (fun () ->
+             for _ = 1 to 25 do
+               let k = Random.State.int rng 12 in
+               match Random.State.int rng 3 with
+               | 0 -> ignore (S.insert s ~key:k ~value:(k + tid))
+               | 1 -> ignore (S.delete s k)
+               | _ -> ignore (S.member s k)
+             done))
+    done;
+    Machine.set_crash_at_step m crash;
+    match Machine.run m with
+    | Machine.Crashed_at _ -> Some s
+    | Machine.Completed -> None
+  in
+  let outcome f =
+    match f () with l -> Ok l | exception Failure e -> Error e
+  in
+  let outcomes = Alcotest.(result (list (pair int int)) string) in
+  List.iter
+    (fun (s_key, str) ->
+      List.iter
+        (fun (f : I.flavour) ->
+          let (module S : SET) = I.instantiate_flavour f s_key str in
+          let sites =
+            if f.key = "det" then [ None; Some "det:complete" ] else [ None ]
+          in
+          List.iter
+            (fun site ->
+              Nvm.Suppress.set site;
+              Fun.protect ~finally:(fun () -> Nvm.Suppress.set None)
+              @@ fun () ->
+              let crashed = ref 0 and failed = ref 0 in
+              List.iter
+                (fun (seed, crash) ->
+                  let what =
+                    Printf.sprintf "%s/%s seed %d step %d" s_key f.key seed
+                      crash
+                  in
+                  match
+                    ( crashed_era (module S) ~seed ~crash,
+                      crashed_era (module S) ~seed ~crash )
+                  with
+                  | Some fused, Some split ->
+                    incr crashed;
+                    let got = outcome (fun () -> S.recover_contents fused) in
+                    let want =
+                      outcome (fun () ->
+                          S.recover split;
+                          S.to_list split)
+                    in
+                    Alcotest.check outcomes (what ^ ": recovery") want got;
+                    (match want with
+                    | Error _ -> incr failed
+                    | Ok want ->
+                      Alcotest.(check (list (pair int int)))
+                        (what ^ ": recovered contents")
+                        want (S.to_list fused);
+                      S.check_invariants fused;
+                      S.check_invariants split)
+                  | None, None -> ()
+                  | _ -> Alcotest.failf "%s: twin runs diverged" what)
+                [ (1, 60); (2, 150); (3, 240); (4, 330) ];
+              if !crashed < 3 then
+                Alcotest.failf "%s/%s: only %d/4 crash placements fired"
+                  s_key f.key !crashed;
+              match site with
+              | Some site when !failed = 0 ->
+                Alcotest.failf
+                  "%s/%s: suppressing %s never failed the recovery audit"
+                  s_key f.key site
+              | _ -> ())
+            sites)
+        (List.filter (fun f -> I.supports f s_key) I.durable_flavours))
+    I.structures
+
 (* Interrupted-recovery and repeated-crash robustness must hold for
    every durable policy, so the list runs once per registry entry. *)
 let list_cases =
@@ -548,6 +645,9 @@ let suite =
         (multi_crash "skiplist" (module Sl.Durable));
       Alcotest.test_case "multiple crash eras: natarajan bst" `Quick
         (multi_crash "natarajan" (module Nm.Durable));
+      Alcotest.test_case
+        "recover_contents = recover; to_list (structures x durable)"
+        `Quick recover_contents_matches_recover_then_to_list;
       Alcotest.test_case "service: watchdog arms under a pending crash"
         `Quick watchdog_arms_under_pending_crash;
       Alcotest.test_case "service: checkpoint truncation retires cells"

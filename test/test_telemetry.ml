@@ -290,6 +290,7 @@ module Counting_set = struct
   let find t k = List.assoc_opt k (Sim_mem.read t)
   let recover _ = ()
   let to_list t = List.sort compare (Sim_mem.read t)
+  let recover_contents t = to_list t
   let size t = List.length (Sim_mem.read t)
   let check_invariants _ = ()
 end

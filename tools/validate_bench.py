@@ -163,22 +163,40 @@ def validate_service(svc):
 def validate_recovery(rec):
     rows = rec["rows"]
     require(rows, "no rows in the recovery bench")
-    cells = {}
+    # rows without a key range predate the store-size axis: 256 keys
+    keys = lambda r: r.get("key_range", 256)
+    base_keys = min(keys(r) for r in rows)
+    cells, store_rows = {}, []
     for r in rows:
         key = (r["requests"], r["domains"], r["checkpoint_interval"])
-        require(key not in cells, f"duplicate cell {key}")
-        cells[key] = r
         require(r["violations"] == [], f"{key}: {r['violations']}")
         require(r["crashes_fired"] == 1, f"{key}: {r['crashes_fired']} crashes")
         require(r["acked"] == r["requests"], f"{key}: acked {r['acked']}")
         require(r["committed"] >= r["requests"], f"{key}: commit shortfall")
         for k in ("replayed", "recovery_steps", "recovery_time", "truncated"):
             require(r[k] >= 0, f"{key}: negative {k}")
+        if "live_keys" in r:
+            require(
+                0 < r["live_keys"] <= keys(r),
+                f"{key}: {r['live_keys']} live keys over {keys(r)} keys",
+            )
         if r["checkpoint_interval"] == 0:
             require(r["checkpoints"] == 0, f"{key}: baseline took checkpoints")
             require(r["truncated"] == 0, f"{key}: baseline truncated the log")
         else:
             require(r["checkpoints"] > 0, f"{key}: no checkpoints committed")
+        if keys(r) == base_keys:
+            require(key not in cells, f"duplicate cell {key}")
+            cells[key] = r
+        else:
+            store_rows.append((key, r))
+    # the store-size axis repeats cells of the sweep over a larger store;
+    # the log-length gates below read the sweep's own rows only
+    seen = set()
+    for key, r in store_rows:
+        require(key in cells, f"{key} over {keys(r)} keys has no sweep cell")
+        require((key, keys(r)) not in seen, f"duplicate cell {key}/{keys(r)}")
+        seen.add((key, keys(r)))
 
     sizes = sorted({n for n, _, _ in cells})
     n_min, n_max = sizes[0], sizes[-1]
@@ -209,8 +227,9 @@ def validate_recovery(rec):
         )
     require(rec["gate_ok"] is True, "bench recorded gate_ok=false")
     return (
-        f"{len(rows)} cells over requests {sizes}, "
-        f"max-log replay {cells[(n_max, 1, 0)]['replayed']} (full) vs "
+        f"{len(rows)} cells over requests {sizes}"
+        + (f" ({len(store_rows)} over a larger store)" if store_rows else "")
+        + f", max-log replay {cells[(n_max, 1, 0)]['replayed']} (full) vs "
         + str(
             [
                 cells[(n_max, 1, i)]["replayed"]
