@@ -12,9 +12,8 @@
      much of SOFT's hand-tuned advantage the optimizer recovers
      mechanically.
    - service: the open-loop runner on the hash structure per
-     contender (detect mode armed for [det], so the svc:desc_ sites
-     and the op_status oracle run), reporting fences per acknowledged
-     request with the exactly-once oracle on.
+     contender, reporting fences per acknowledged request with the
+     exactly-once oracle (status query included) on.
 
    Self-gates (recomputed by tools/validate_bench.py):
    - SOFT beats plain nvt on both flushes/op and fences/op on the hash
@@ -103,7 +102,6 @@ let svc_row_json (x : svc_row) : Json.t =
     [ ("contender", Json.Str x.s_contender);
       ("policy", Json.Str x.s_policy);
       ("optimized", Json.Bool x.s_optimized);
-      ("detect", Json.Bool r.config.detect);
       ("acked", Json.Int r.acked);
       ("fences_per_op", Json.Float (Runner.fences_per_op r));
       ("flushes_per_op", Json.Float (Runner.flushes_per_op r));
@@ -173,7 +171,6 @@ let run ?json_path ?(quick = false) ?(seed = 1)
       requests;
       structure = "hash";
       flavour = policy;
-      detect = policy = "det";
       shards = 4;
       clients = 16;
       mean_gap = 600;

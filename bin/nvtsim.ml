@@ -463,19 +463,9 @@ let recovery_crashes =
               (repeatable; each threshold is consumed by one recovery, \
               which then restarts — the double-crash scenario).")
 
-let detect_flag =
-  Arg.(
-    value & flag
-    & info [ "detect" ]
-        ~doc:"Detectable recovery: per-client completion descriptors \
-              (flushed under the existing commit fences) replace \
-              dedup-table log replay, and recovery answers \
-              completed/not-applied status queries; the oracle holds \
-              every acknowledgement against the status answer.")
-
 let serve s_name p_name shards clients requests gap skew updates range seed
     batch timeout crashes eviction dram domains ckpt recovery_crashes
-    multi_pct multi_k rmw_pct detect optimize =
+    multi_pct multi_k rmw_pct optimize =
   (match I.flavour p_name with
   | Some _ -> ()
   | None ->
@@ -519,8 +509,7 @@ let serve s_name p_name shards clients requests gap skew updates range seed
       plan;
       multi_pct;
       multi_k;
-      rmw_pct;
-      detect }
+      rmw_pct }
   in
   match Runner.run cfg with
   | r ->
@@ -568,7 +557,7 @@ let () =
         const serve $ svc_structure $ svc_policy $ shards $ clients $ requests
         $ gap $ skew $ updates $ range $ seed $ batch $ batch_timeout
         $ crashes $ eviction $ dram $ svc_domains $ ckpt $ recovery_crashes
-        $ multi_pct $ multi_k $ rmw_pct $ detect_flag $ optimize_arg)
+        $ multi_pct $ multi_k $ rmw_pct $ optimize_arg)
   in
   exit
     (Cmd.eval

@@ -85,8 +85,8 @@ let quick =
        target: its candidate-redundant verdicts (bucket-head mutual
        coverage) must stay committed, re-proven per push *)
     structures = [ "list"; "bst-nm"; "hash" ];
-    (* the det combo rides quick so the service-descriptor site
-       (det:desc_flush) classifies per push like the svc: sites do *)
+    (* the det combo rides quick so the svc: sites are re-proven per
+       push over the detectable store as well as the plain engine *)
     service = [ ("hash", "nvt"); ("hash", "det") ] }
 
 let deep =

@@ -54,6 +54,8 @@
        over the prefill (acknowledged-then-lost work would diverge);
      - every acknowledged request appears exactly once in the
        committed logs;
+     - at every recovered quiescent point, every acknowledged request
+       answers [Completed] to {!Service.op_status};
      - on crash-free runs, replaying the committed logs reproduces
        each recorded result exactly and every request is applied once.
 
@@ -99,7 +101,6 @@ type config = {
   multi_pct : int;  (* % of requests issued as same-shard multi-puts *)
   multi_k : int;  (* keys per multi-put (capped at the shard's pool) *)
   rmw_pct : int;  (* % of requests issued as read-modify-writes *)
-  detect : bool;  (* descriptor-based (detectable) recovery *)
 }
 
 let default_config =
@@ -126,8 +127,7 @@ let default_config =
     plan = None;
     multi_pct = 0;
     multi_k = 4;
-    rmw_pct = 0;
-    detect = false }
+    rmw_pct = 0 }
 
 type latency = { p50 : int; p95 : int; p99 : int; lmax : int; mean : float }
 
@@ -269,7 +269,7 @@ let run (c : config) : report =
     Array.init domains (fun g ->
         Machine.set_current machines.(g);
         Service.create ~slice:(g, domains) ~commit_interval ~checkpoint
-          ~detect:c.detect ~structure ~flavour ~shards:c.shards ~mode:c.mode ())
+          ~structure ~flavour ~shards:c.shards ~mode:c.mode ())
   in
   let prefill =
     List.filter (fun k -> k < c.key_range)
@@ -648,24 +648,22 @@ let run (c : config) : report =
               "recovery: client=%d seq=%d acknowledged without an observed \
                commit"
               cl sq);
-    (* Detect mode's own obligation: at the recovered quiescent point
-       every acknowledged request must answer [Completed] to the status
-       query of the slice that owns its key — a descriptor lost (or a
-       stale one mistaken for valid) surfaces here as a liveness lie
-       rather than waiting for a re-send to double-apply. *)
-    if c.detect then
-      iter_recs
-        (fun cl sq (x : rec_) ->
-          if x.r_acks > 0 then begin
-            let svc = services.(group_of_key (Service.key_of_op x.r_op)) in
-            match Service.op_status svc ~client:cl ~seq:sq with
-            | Nvt_nvm.Detectable.Completed, _ -> ()
-            | st, _ ->
-              violation
-                "detect: client=%d seq=%d acknowledged but status says %s"
-                cl sq
-                (Nvt_nvm.Detectable.status_name st)
-          end)
+    (* The status query's obligation: at the recovered quiescent point
+       every acknowledged request must answer [Completed] to the slice
+       that owns its key — a commit a checkpoint forgot surfaces here
+       as a lie to a re-connecting client rather than waiting for a
+       re-send to double-apply. *)
+    iter_recs
+      (fun cl sq (x : rec_) ->
+        if x.r_acks > 0 then begin
+          let svc = services.(group_of_key (Service.key_of_op x.r_op)) in
+          match Service.op_status svc ~client:cl ~seq:sq with
+          | Nvt_nvm.Detectable.Completed, _ -> ()
+          | st, _ ->
+            violation
+              "status: client=%d seq=%d acknowledged but status says %s" cl sq
+              (Nvt_nvm.Detectable.status_name st)
+        end)
   in
   (* One era: start the services, re-send outstanding requests, then
      advance all machines barrier by barrier until they complete, the
@@ -850,9 +848,9 @@ let run (c : config) : report =
        seq n was acknowledged — and an ack happens only after commit —
        so a later committed seq vouches for every earlier acked one
        even when both its log record and its dedup-snapshot entry are
-       gone: the dedup table keeps only each client's latest record,
-       so a shard's next checkpoint drops a client whose newer traffic
-       moved to another shard. *)
+       gone: a shard's snapshot keeps only each client's last record
+       on that shard, so a later request of the same client on the
+       same shard replaces an earlier one's entry. *)
     let max_committed = Array.make c.clients (-1) in
     let note cl sq =
       if known cl sq && sq > max_committed.(cl) then max_committed.(cl) <- sq
@@ -968,10 +966,9 @@ let flushes_per_op r =
 let pp_report ppf r =
   let c = r.config in
   Format.fprintf ppf
-    "@[<v>service %s/%s shards=%d domains=%d clients=%d mode=%s%s dist=%s\n"
+    "@[<v>service %s/%s shards=%d domains=%d clients=%d mode=%s dist=%s\n"
     c.structure c.flavour c.shards c.domains c.clients
     (Service.mode_name c.mode)
-    (if c.detect then "+detect" else "")
     (if c.skew <= 0.0 then "uniform" else Printf.sprintf "zipf(%.2f)" c.skew);
   Format.fprintf ppf
     "  acked %d/%d  applies %d  resent %d  dedup %d  audit %d@,"
@@ -1008,7 +1005,6 @@ let mode_json (r : report) : Nvt_harness.Json.t =
   let open Nvt_harness.Json in
   Obj
     [ ("mode", Str (Service.mode_name r.config.mode));
-      ("detect", Bool r.config.detect);
       ("acked", Int r.acked);
       ("applies", Int r.applies);
       ("resent", Int r.resent);

@@ -63,12 +63,6 @@ type config = {
           (default 4) *)
   rmw_pct : int;
       (** percentage of requests issued as {!Service.Rmw} (default 0) *)
-  detect : bool;
-      (** detectable recovery: per-client completion descriptors instead
-          of dedup-table log replay (see {!Service.create}); the oracle
-          additionally holds every acknowledgement against
-          {!Service.op_status} at each recovered quiescent point
-          (default [false]) *)
 }
 
 val default_config : config

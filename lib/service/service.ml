@@ -41,13 +41,13 @@
    cost: at virtual-time intervals the thread that owns a shard's
    commit index (the worker in per-op mode, the committer in group
    mode) snapshots the shard's committed state — a plain-OCaml model
-   mirror of the store plus the shard's dedup entries, captured in one
-   non-preemptible stretch so the cut is consistent — force-commits the
-   log up to the cut, and writes the snapshot through {!Checkpoint}
-   (the svc:ckpt_ sites). After the checkpoint's commit fence the covered
-   log prefix is dropped and its cells retired, so both the live-cell
-   estimate and recovery cost track the delta since the last
-   checkpoint, not the uptime.
+   mirror of the store plus every client's last record on the shard,
+   captured in one non-preemptible stretch so the cut is consistent —
+   force-commits the log up to the cut, and writes the snapshot
+   through {!Checkpoint} (the svc:ckpt_ sites). After the checkpoint's
+   commit fence the covered log prefix is dropped and its cells
+   retired, so both the live-cell estimate and recovery cost track the
+   delta since the last checkpoint, not the uptime.
 
    Recovery first recovers each shard's store through its own policy,
    in one walk that also returns the store's contents. It then reads
@@ -61,9 +61,12 @@
    mirror, and reconciles the store's contents to that mirror without
    walking the store again. Re-sent requests whose
    record is committed are answered from the table without touching
-   the store — exactly-once acknowledgement. {!spawn_recovery} runs
-   the same per-shard recovery as simulated threads, so shards recover
-   in parallel and recovery consumes measurable virtual time. *)
+   the store — exactly-once acknowledgement. Because no snapshot drops
+   a client, the rebuilt table holds every client's latest commit, and
+   the same table answers the post-crash status query ({!op_status}).
+   {!spawn_recovery} runs the same per-shard recovery as simulated
+   threads, so shards recover in parallel and recovery consumes
+   measurable virtual time. *)
 
 module Machine = Nvt_sim.Machine
 module Sim_mem = Nvt_sim.Memory
@@ -124,6 +127,9 @@ type entry = { e_client : int; e_seq : int; e_op : op; e_res : result }
    slot itself was truncated away. *)
 type ckpt_dedup = { k_client : int; k_seq : int; k_slot : int; k_res : result }
 
+(* Last applied request per client, for deduplication of re-sends. *)
+type dedup = { d_seq : int; d_res : result; d_shard : int; d_slot : int }
+
 (* The structure module is existential; close over its operations. *)
 type store = {
   apply : op -> result;
@@ -166,6 +172,11 @@ type shard = {
       (* plain-OCaml model of the committed-prefix replay (put = add if
          absent, del = remove), maintained in the same non-preemptible
          stretch as the log append; the checkpoint snapshots it *)
+  last : (int, dedup) Hashtbl.t;
+      (* client -> last record applied on this shard, whatever shard
+         the client's later traffic went to; maintained beside the
+         mirror, and snapshotted with it, so a checkpoint never forgets
+         a commit whose log record it truncates *)
   mutable preseed : (int * int) list;
       (* the prefill pairs — the mirror's base state, needed to re-seed
          it when a recovery finds no committed checkpoint (a checkpoint
@@ -180,23 +191,6 @@ type completion = {
   c_req : request;
   c_res : result;
 }
-
-(* Last applied request per client, for deduplication of re-sends. *)
-type dedup = { d_seq : int; d_res : result; d_shard : int; d_slot : int }
-
-(* Detect mode: one durable completion descriptor, written whole into a
-   single cell (cell = cache-line granularity, so identity, position
-   and result persist atomically). Each client owns a pair of cells
-   written round-robin: the previous committed descriptor survives
-   until the next one's commit fence has passed, so a crash between a
-   descriptor's flush and its batch's commit fence can invalidate at
-   most the newer cell. A descriptor is {e valid} iff its slot is below
-   its shard's durable commit index — the flush rides the batch's
-   ledger fence, strictly before the index commits, so validity is
-   exactly "this completion durably happened". *)
-type desc_rec = { r_seq : int; r_shard : int; r_slot : int; r_res : result }
-
-let null_desc = { r_seq = -1; r_shard = -1; r_slot = -1; r_res = Done false }
 
 type t = {
   mode : mode;
@@ -219,12 +213,6 @@ type t = {
   policy_recover : unit -> unit;
   svc_fence : string -> unit;
   poll_quantum : int;
-  detect : bool;  (* descriptor-based recovery instead of log replay *)
-  desc_put : int -> desc_rec -> unit;  (* client -> record; write+flush *)
-  desc_reset : unit -> unit;  (* begin_recovery: clear the kept table *)
-  desc_recover : shard:int -> index:int -> (int -> dedup -> unit) -> unit;
-      (* merge this shard's valid descriptors into the dedup table and
-         durably null the stale ones (see [recover_shard]) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -357,7 +345,7 @@ let global_of_local t i = t.group + (i * t.stride)
 let slice t = (t.group, t.stride)
 
 let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
-    ?(checkpoint = 0) ?(detect = false) ~structure ~(flavour : I.flavour)
+    ?(checkpoint = 0) ~structure ~(flavour : I.flavour)
     ~shards:n ~mode () =
   if n < 1 then invalid_arg "service: shards must be >= 1";
   let group, stride = slice in
@@ -376,74 +364,6 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
      control included: guarded, but over [Durable]. *)
   let module Pm = Nvt_nvm.Persist.Make (L.Mem) in
   let module G = Pm.Sited (Pm.Durable) in
-  (* Detect mode's descriptor store. The table and each pair's turn
-     counter are plain OCaml — NVRAM allocator metadata, like a
-     registry of roots; they carry no durability information (recovery
-     re-derives validity from the cells and the durable indices, and
-     re-aims the turn at the losing cell). *)
-  let desc_tbl : (int, desc_rec L.Mem.loc array * int ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let desc_put client r =
-    let cells, turn =
-      match Hashtbl.find_opt desc_tbl client with
-      | Some p -> p
-      | None ->
-        let p = ([| L.Mem.alloc null_desc; L.Mem.alloc null_desc |], ref 0) in
-        Hashtbl.add desc_tbl client p;
-        p
-    in
-    let c = cells.(!turn) in
-    turn := 1 - !turn;
-    L.Mem.write c r;
-    G.flush "svc:desc_flush" c
-  in
-  (* client -> best merged seq of the recovery in progress; shared by
-     the per-shard passes so the turn ends up aimed away from the
-     overall winner even when a client's two descriptors live on
-     different shards (updates are plain OCaml between simulated
-     accesses, hence atomic under the fiber scheduler). *)
-  let desc_kept : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let desc_reset () = Hashtbl.reset desc_kept in
-  let desc_recover ~shard:si ~index:idx merge =
-    let stale = ref [] in
-    Hashtbl.iter
-      (fun client (cells, turn) ->
-        Array.iteri
-          (fun ci c ->
-            match L.Mem.read c with
-            | exception Nvt_nvm.Memory.Corrupt_read _ ->
-              (* never persisted: equivalent to an absent descriptor *)
-              ()
-            | r ->
-              if r.r_shard = si then
-                if r.r_seq >= 0 && r.r_slot < idx then begin
-                  merge client
-                    { d_seq = r.r_seq; d_res = r.r_res; d_shard = si;
-                      d_slot = r.r_slot };
-                  match Hashtbl.find_opt desc_kept client with
-                  | Some s when s >= r.r_seq -> ()
-                  | _ ->
-                    Hashtbl.replace desc_kept client r.r_seq;
-                    turn := 1 - ci
-                end
-                else
-                  (* A readable descriptor whose slot the durable index
-                     does not cover claims a completion that never
-                     durably happened. It must be nulled *now*, durably,
-                     before the service commits anything new: truncation
-                     re-uses slot numbers, so a later era's advancing
-                     index would otherwise lend it false validity. *)
-                  stale := c :: !stale)
-          cells)
-      desc_tbl;
-    List.iter
-      (fun c ->
-        L.Mem.write c null_desc;
-        G.flush "svc:desc_flush" c)
-      !stale;
-    if !stale <> [] then G.fence "svc:desc_fence"
-  in
   let local = if group >= n then 0 else (n - group + stride - 1) / stride in
   let shards =
     Array.init local (fun _ ->
@@ -453,6 +373,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
           next_slot = 0;
           committed = 0;
           mirror = Hashtbl.create 64;
+          last = Hashtbl.create 64;
           preseed = [];
           base = 0;
           next_ckpt = max_int })
@@ -476,11 +397,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
     on_commit = (fun _ ~shard:_ ~slot:_ -> ());
     policy_recover = L.recover;
     svc_fence = G.fence;
-    poll_quantum;
-    detect;
-    desc_put;
-    desc_reset;
-    desc_recover }
+    poll_quantum }
 
 let set_on_apply t f = t.on_apply <- f
 let set_on_ack t f = t.on_ack <- f
@@ -541,16 +458,6 @@ let commit t = function
         let sh = t.shards.(it.c_shard) in
         if it.c_slot >= sh.base then sh.ledger.flush_entry it.c_slot)
       items;
-    (* detect mode: the batch's completion descriptors ride the same
-       ledger fence as the entries — zero extra fences — and become
-       valid only once the index commits below *)
-    if t.detect then
-      List.iter
-        (fun it ->
-          t.desc_put it.c_req.client
-            { r_seq = it.c_req.seq; r_shard = it.c_shard;
-              r_slot = it.c_slot; r_res = it.c_res })
-        items;
     t.svc_fence "svc:ledger_fence";
     let touched = Hashtbl.create 8 in
     List.iter
@@ -607,12 +514,10 @@ let checkpoint_shard t si =
     let dedup =
       Hashtbl.fold
         (fun client d acc ->
-          if d.d_shard = si && d.d_slot < upto then
-            { k_client = client; k_seq = d.d_seq; k_slot = d.d_slot;
-              k_res = d.d_res }
-            :: acc
-          else acc)
-        t.last []
+          { k_client = client; k_seq = d.d_seq; k_slot = d.d_slot;
+            k_res = d.d_res }
+          :: acc)
+        sh.last []
       |> List.sort (fun a b -> Int.compare a.k_client b.k_client)
       |> Array.of_list
     in
@@ -620,17 +525,6 @@ let checkpoint_shard t si =
       for slot = sh.committed to upto - 1 do
         sh.ledger.flush_entry slot
       done;
-      (* detect mode: a force-committed entry must not outrun its
-         descriptor — a crash between this checkpoint's commit and the
-         entry's normal (acknowledging) commit would otherwise leave a
-         committed request invisible to descriptor recovery, and its
-         re-send would double-apply *)
-      if t.detect then
-        for slot = sh.committed to upto - 1 do
-          let e = sh.ledger.read_entry slot in
-          t.desc_put e.e_client
-            { r_seq = e.e_seq; r_shard = si; r_slot = slot; r_res = e.e_res }
-        done;
       t.svc_fence "svc:ledger_fence";
       sh.ledger.write_index upto;
       sh.ledger.flush_index ();
@@ -690,8 +584,11 @@ let process t shard_ix req =
       { e_client = req.client; e_seq = req.seq; e_op = req.op; e_res = res };
     sh.next_slot <- slot + 1;
     mirror_apply sh req.op;
-    Hashtbl.replace t.last req.client
-      { d_seq = req.seq; d_res = res; d_shard = shard_ix; d_slot = slot };
+    let d =
+      { d_seq = req.seq; d_res = res; d_shard = shard_ix; d_slot = slot }
+    in
+    Hashtbl.replace t.last req.client d;
+    Hashtbl.replace sh.last req.client d;
     let it = { c_shard = shard_ix; c_slot = slot; c_req = req; c_res = res } in
     (match t.mode with
     | Per_op -> commit t [ it ]
@@ -780,14 +677,15 @@ let submit t req =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Merge one committed record into the dedup table. Later entries win
-   on equal (client, seq): a re-send can legitimately commit twice
-   (once per era), and the *last* committed slot is the one whose
-   result a post-crash re-send must be answered from. *)
-let merge_last t client (d : dedup) =
-  match Hashtbl.find_opt t.last client with
+(* Merge one committed record into a dedup table (a shard's own or the
+   slice's). Later entries win on equal (client, seq): a re-send can
+   legitimately commit twice (once per era), and the *last* committed
+   slot is the one whose result a post-crash re-send must be answered
+   from. *)
+let merge_last tbl client (d : dedup) =
+  match Hashtbl.find_opt tbl client with
   | Some d0 when d0.d_seq > d.d_seq -> ()
-  | _ -> Hashtbl.replace t.last client d
+  | _ -> Hashtbl.replace tbl client d
 
 (* Slice-wide recovery state reset; follow with [recover_shard] for
    every shard (in any order — shards touch disjoint state except the
@@ -796,15 +694,15 @@ let begin_recovery t =
   t.policy_recover ();
   t.stop <- false;
   Queue.clear t.pending;
-  Hashtbl.reset t.last;
-  t.desc_reset ()
+  Hashtbl.reset t.last
 
 (* Recover one shard: store recovery (returning its contents) ->
    durable index -> truncate (retiring dropped cells) -> restore the
    checkpoint snapshot -> replay the remaining committed suffix ->
-   reconcile the store to the mirror. Restartable: a crash during
-   recovery loses only volatile state, and re-running retires only
-   cells not already dropped. *)
+   merge the shard's dedup records into the slice's -> reconcile the
+   store to the mirror. Restartable: a crash during recovery loses only
+   volatile state, and re-running retires only cells not already
+   dropped. *)
 let recover_shard t si =
   let sh = t.shards.(si) in
   let have = sh.store.st_recover () in
@@ -814,6 +712,7 @@ let recover_shard t si =
   sh.committed <- idx;
   sh.next_slot <- idx;
   Hashtbl.reset sh.mirror;
+  Hashtbl.reset sh.last;
   let base =
     match sh.ledger.read_ckpt () with
     | None ->
@@ -821,17 +720,12 @@ let recover_shard t si =
       0
     | Some (upto, pairs, dedup) ->
       Array.iter (fun (k, v) -> Hashtbl.replace sh.mirror k v) pairs;
-      (* detect mode rebuilds the dedup table from descriptors alone:
-         the checkpoint's dedup records are each client's last
-         committed position as of the cut, and the descriptor pair
-         holds something at least as recent *)
-      if not t.detect then
-        Array.iter
-          (fun kd ->
-            merge_last t kd.k_client
-              { d_seq = kd.k_seq; d_res = kd.k_res; d_shard = si;
-                d_slot = kd.k_slot })
-          dedup;
+      Array.iter
+        (fun kd ->
+          Hashtbl.replace sh.last kd.k_client
+            { d_seq = kd.k_seq; d_res = kd.k_res; d_shard = si;
+              d_slot = kd.k_slot })
+        dedup;
       upto
   in
   sh.ledger.drop_below base;
@@ -840,11 +734,12 @@ let recover_shard t si =
   for slot = base to idx - 1 do
     let e = sh.ledger.read_entry slot in
     mirror_apply sh e.e_op;
-    if not t.detect then
-      merge_last t e.e_client
-        { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot }
+    merge_last sh.last e.e_client
+      { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot }
   done;
-  if t.detect then t.desc_recover ~shard:si ~index:idx (merge_last t);
+  (* the shard's table now holds each client's last committed record
+     here, so the slice's table gets every client's latest commit *)
+  Hashtbl.iter (merge_last t.last) sh.last;
   (* The committed log is the truth: undo the persisted effects of
      applies that never committed by reconciling the store to the
      rebuilt mirror. Idempotent ops (put/del) masked this window — a
@@ -906,17 +801,17 @@ let committed_total t =
 let checkpoints_taken t = t.ckpt_count
 let truncated_slots t = t.truncated
 let replayed_slots t = t.replayed
-let detect_enabled t = t.detect
 
-(* Status query for a (client, seq) this slice has seen — what a
+(* Status query for a (client, seq) this slice owns — what a
    re-connecting client may conclude without re-sending. [Completed]:
    the request durably committed (with its result when it is the
-   client's latest). In detect mode an absent record is [Not_applied]:
-   every committed completion wrote a descriptor before its ack, and
-   recovery reconciled away any uncommitted effects, so a re-send is
-   safe and will not double-apply. Without descriptors the dedup table
-   is rebuilt only from the *retained* log, so absence proves nothing:
-   [Unknown]. *)
+   client's latest). [Not_applied]: no record at or past [seq]. Sound
+   after recovery because each shard's checkpoint keeps every client's
+   last record on that shard and recovery replays the committed suffix
+   on top, so the rebuilt table holds every client's latest commit;
+   recovery also reconciled away uncommitted effects, so a re-send is
+   safe and will not double-apply. [Unknown]: applied, commit still in
+   flight. *)
 let op_status t ~client ~seq : Nvt_nvm.Detectable.status * result option =
   match Hashtbl.find_opt t.last client with
   | Some d when d.d_seq = seq ->
@@ -927,10 +822,7 @@ let op_status t ~client ~seq : Nvt_nvm.Detectable.status * result option =
     (* a sequential client submits seq n+1 only after seq n was
        acknowledged, so a later committed request vouches for this one *)
     (Nvt_nvm.Detectable.Completed, None)
-  | Some _ | None ->
-    ( (if t.detect then Nvt_nvm.Detectable.Not_applied
-       else Nvt_nvm.Detectable.Unknown),
-      None )
+  | Some _ | None -> (Nvt_nvm.Detectable.Not_applied, None)
 
 let checkpoint_state t =
   Array.map
@@ -957,15 +849,15 @@ let inject_committed t entries =
       let slot = sh.next_slot in
       sh.ledger.append slot e;
       sh.ledger.flush_entry slot;
-      if t.detect then
-        t.desc_put e.e_client
-          { r_seq = e.e_seq; r_shard = si; r_slot = slot; r_res = e.e_res };
       sh.next_slot <- slot + 1;
       mirror_apply sh e.e_op;
       sh.ledger.write_index sh.next_slot;
       sh.ledger.flush_index ();
       sh.committed <- sh.next_slot;
-      merge_last t e.e_client
-        { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot })
+      let d =
+        { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot }
+      in
+      merge_last sh.last e.e_client d;
+      merge_last t.last e.e_client d)
     entries;
   t.svc_fence "svc:commit_fence"

@@ -12,11 +12,14 @@
     and drops the covered log prefix, retiring its cells. Recovery
     truncates each log to its durable commit index, restores the
     checkpoint snapshot, and rebuilds the per-client deduplication
-    table from the remaining committed suffix (last committed entry
-    wins on equal (client, seq)), so re-sent acknowledged requests are
-    answered from the ledger without being re-applied; recovery cost is
-    O(delta since the last checkpoint), and {!spawn_recovery} runs it
-    as parallel simulated threads. *)
+    table from the snapshot's dedup records and the remaining committed
+    suffix (last committed entry wins on equal (client, seq)), so
+    re-sent acknowledged requests are answered from the ledger without
+    being re-applied. Each shard's snapshot keeps every client's last
+    record on that shard, so the rebuilt table holds every client's
+    latest commit and {!op_status} can soundly answer [Not_applied].
+    Recovery cost is O(delta since the last checkpoint), and
+    {!spawn_recovery} runs it as parallel simulated threads. *)
 
 type op =
   | Put of int * int  (** add-if-absent *)
@@ -79,7 +82,6 @@ val create :
   ?slice:int * int ->
   ?commit_interval:int ->
   ?checkpoint:int ->
-  ?detect:bool ->
   structure:(module Nvt_harness.Instances.STRUCTURE) ->
   flavour:Nvt_harness.Instances.flavour ->
   shards:int ->
@@ -107,22 +109,9 @@ val create :
     exactly). In per-op mode each worker checkpoints its own shard at
     the interval; in group mode the committer checkpoints every local
     shard after a boundary commit — in both cases on the thread that
-    owns the commit index.
-
-    [detect] (default [false]) switches the per-client deduplication
-    table to detectable-recovery descriptors: each committed batch
-    writes one completion descriptor per request — a single cell
-    holding (seq, shard, slot, result), flushed under the batch's
-    existing ledger fence (site [svc:desc_flush], zero extra fences) —
-    into the client's round-robin cell pair, and recovery rebuilds the
-    table from the descriptor cells instead of replaying the committed
-    log (the replay still rebuilds each shard's store mirror). A
-    descriptor counts only if its slot is below its shard's durable
-    commit index; stale descriptors are durably nulled during recovery
-    ([svc:desc_fence]) before the service commits anything new. The
-    exactly-once guarantees are unchanged; what detect mode adds is a
-    sound {!op_status} answer of [Not_applied] for requests that never
-    committed. *)
+    owns the commit index. A shard's snapshot holds its store contents
+    and, for every client with a record on that shard, the client's
+    last such record. *)
 
 val prefill : t -> int list -> unit
 (** Load keys (value = key) directly into the shard stores, bypassing
@@ -201,18 +190,16 @@ val checkpoints_taken : t -> int
 val truncated_slots : t -> int
 (** Log slots dropped (and their cells retired) by checkpoints. *)
 
-val detect_enabled : t -> bool
-(** Whether this instance was created with [?detect:true]. *)
-
 val op_status :
   t -> client:int -> seq:int -> Nvt_nvm.Detectable.status * result option
 (** What this slice can prove about request [(client, seq)] — the
     detectable-recovery query, meaningful at a quiescent point (e.g.
     after recovery): [Completed] iff the request durably committed
     (with its recorded result when it is the client's latest request);
-    [Not_applied] — only ever answered in detect mode — iff it never
-    committed and its effects were reconciled away, so a re-send is
-    safe; [Unknown] otherwise. *)
+    [Not_applied] iff it never committed and its effects were
+    reconciled away, so a re-send is safe; [Unknown] while it is
+    applied but its commit is still in flight. The query is meaningful
+    for requests whose key this slice owns. *)
 
 val replayed_slots : t -> int
 (** Committed log entries replayed by this instance's recovery passes

@@ -34,11 +34,6 @@ let config ~structure ~policy ~seed =
   { Runner.default_config with
     structure;
     flavour = policy;
-    (* the det combo runs the service's own detectable recovery, so the
-       svc:desc_ sites are exercised and the runner's op_status oracle
-       is armed; the store-level det:announce/det:complete sites are
-       the structure battery's targets, like every policy site *)
-    detect = policy = "det";
     seed;
     shards = 2;
     clients = 6;

@@ -293,13 +293,13 @@ let service_fingerprint_is_pinned () =
       pin "checkpoints" checkpoints r.checkpoints;
       pin "recovery_steps" recovery_steps r.recovery_steps;
       pin "replayed" replayed r.replayed)
-    [ ("group", base, (22571, 314094, 2180, 1529, 155, 9485, 17));
+    [ ("group", base, (22573, 314094, 2181, 1529, 155, 9485, 17));
       ( "per-op",
         { base with mode = Svc.Per_op },
-        (19024, 255093, 2359, 2091, 146, 9510, 4) );
+        (19031, 255081, 2364, 2093, 147, 9510, 4) );
       ( "recovery crash",
         { base with crash_steps = [ 1500; 1500 ]; recovery_crashes = [ 300 ] },
-        (19075, 294063, 2129, 1492, 150, 6633, 13) ) ]
+        (19077, 294063, 2130, 1492, 150, 6633, 13) ) ]
 
 (* The checkpoint snapshot's canonical order: store pairs strictly
    ascending by key, dedup records strictly ascending by client,

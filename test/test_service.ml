@@ -197,85 +197,141 @@ let volatile_control () =
       "volatile service survived every crash; the oracle is not detecting \
        lost acknowledged state"
 
-(* Detectable recovery at the service layer: descriptor-based dedup
-   rebuild under crashes and checkpoints (slot reuse is what the stale
-   descriptor nulling defends), with the runner's op_status oracle
-   armed — every acknowledged request must answer [Completed] at every
-   recovered quiescent point. *)
-let detect_exactly_once () =
+(* Detectable recovery at the service layer: the runner's op_status
+   oracle holds on every run — every acknowledged request must answer
+   [Completed] at every recovered quiescent point — here under group
+   commit, checkpoints (which truncate the log records the answer would
+   otherwise come from) and two crashes. *)
+let status_oracle_under_crashes () =
   for seed = 0 to 2 do
     let cfg =
       { base with
         structure = "hash";
         flavour = "nvt";
-        detect = true;
         mode = Service.Group { batch = 8; timeout = 1500 };
         checkpoint_interval = 1500;
         seed = seed + 1;
         crash_steps = [ 900 + (211 * seed); 800 ] }
     in
     let r = Runner.run cfg in
-    check_clean (Printf.sprintf "detect seed %d" seed) r;
+    check_clean (Printf.sprintf "status seed %d" seed) r;
     if r.crashes_fired < 2 then
-      Alcotest.failf "detect seed %d: only %d/2 crashes fired" seed
+      Alcotest.failf "status seed %d: only %d/2 crashes fired" seed
         r.crashes_fired;
-    (* descriptors actually carried the recovery: the flush site is live *)
-    match List.assoc_opt "svc:desc_flush" (Stats.sites r.stats) with
-    | Some s when s.Stats.s_flushes > 0 -> ()
-    | _ -> Alcotest.failf "detect seed %d: svc:desc_flush never fired" seed
+    if r.checkpoints = 0 then
+      Alcotest.failf "status seed %d: no checkpoint committed" seed
   done;
-  (* the det policy combo: store-level descriptors and service-level
-     descriptors in the same run *)
+  (* the det policy: store-level descriptors under the same oracle *)
   let r =
     Runner.run
-      { base with
-        flavour = "det";
-        detect = true;
-        seed = 7;
-        crash_steps = [ 700; 700 ] }
+      { base with flavour = "det"; seed = 7; crash_steps = [ 700; 700 ] }
   in
-  check_clean "det policy + detect recovery" r
+  check_clean "det policy" r
 
-(* The status query itself, at the service surface: in detect mode an
-   unseen (client, seq) soundly answers [Not_applied]; without detect
-   the dedup table cannot distinguish never-committed from merely
-   unseen, so the same query answers [Unknown]; and a durably committed
-   entry answers [Completed] with its recorded result after recovery. *)
-let detect_status_query () =
+(* Crash placements where a checkpoint that snapshots only clients
+   whose latest record is on the checkpointed shard forgets a truncated
+   commit: the client's newer request went to another shard and had
+   not committed when the crash hit, so recovery found neither record
+   and the status query denied an acknowledged request. The service
+   CLI's defaults, so each case replays as
+   [nvtsim serve --requests 300 --crash C --crash 700 --ckpt 1200
+   --seed S]. *)
+let status_after_checkpoint_truncation () =
+  List.iter
+    (fun (seed, crash) ->
+      let r =
+        Runner.run
+          { Runner.default_config with
+            requests = 300;
+            update_pct = 20;
+            key_range = 64;
+            mode = Service.Group { batch = 16; timeout = 4000 };
+            checkpoint_interval = 1200;
+            seed;
+            crash_steps = [ crash; 700 ] }
+      in
+      let name = Printf.sprintf "seed %d crash %d" seed crash in
+      check_clean name r;
+      if r.crashes_fired < 2 || r.checkpoints = 0 then
+        Alcotest.failf "%s: %d crashes, %d checkpoints — nothing exercised"
+          name r.crashes_fired r.checkpoints)
+    [ (4, 400); (4, 1500); (5, 400); (5, 900) ]
+
+let nvt_flavour () =
+  match Nvt_harness.Instances.flavour "nvt" with
+  | Some f -> f
+  | None -> assert false
+
+(* The status query itself, at the service surface: an unseen
+   (client, seq) answers [Not_applied], and a durably committed entry
+   answers [Completed] with its recorded result after recovery. *)
+let status_query () =
   let _m = Machine.create ~seed:1 () in
-  let fl =
-    match Nvt_harness.Instances.flavour "nvt" with
-    | Some f -> f
-    | None -> assert false
-  in
-  let mk detect =
-    Service.create ~detect
+  let svc =
+    Service.create
       ~structure:(module Nvt_structures.Harris_list)
-      ~flavour:fl ~shards:1 ~mode:Service.Per_op ()
+      ~flavour:(nvt_flavour ()) ~shards:1 ~mode:Service.Per_op ()
   in
-  let sd = mk true and sn = mk false in
-  Alcotest.(check bool) "detect_enabled" true (Service.detect_enabled sd);
-  Alcotest.(check bool) "not detect_enabled" false (Service.detect_enabled sn);
   let name (st, _) = Nvt_nvm.Detectable.status_name st in
   Alcotest.(check string)
-    "detect: unseen request is not-applied" "not-applied"
-    (name (Service.op_status sd ~client:7 ~seq:0));
-  Alcotest.(check string)
-    "no detect: unseen request is unknown" "unknown"
-    (name (Service.op_status sn ~client:7 ~seq:0));
-  Service.inject_committed sd
+    "unseen request is not-applied" "not-applied"
+    (name (Service.op_status svc ~client:7 ~seq:0));
+  Service.inject_committed svc
     [ { Service.e_client = 3; e_seq = 0; e_op = Service.Put (1, 1);
         e_res = Service.Done true } ];
-  Service.recover sd;
-  (match Service.op_status sd ~client:3 ~seq:0 with
+  Service.recover svc;
+  (match Service.op_status svc ~client:3 ~seq:0 with
   | Nvt_nvm.Detectable.Completed, Some (Service.Done true) -> ()
   | st, _ ->
     Alcotest.failf "committed request answers %s, not completed"
       (Nvt_nvm.Detectable.status_name st));
-  (* a later seq for the same client supersedes: still not-applied *)
   Alcotest.(check string)
-    "detect: next seq not yet applied" "not-applied"
-    (name (Service.op_status sd ~client:3 ~seq:1))
+    "next seq not yet applied" "not-applied"
+    (name (Service.op_status svc ~client:3 ~seq:1))
+
+(* A checkpoint keeps every client's last record on its shard, not just
+   the clients whose latest request landed there: one client
+   alternating between keys of both shards must appear in both shards'
+   snapshots once each shard has checkpointed after its last request. *)
+let checkpoint_keeps_client_on_every_shard () =
+  let m = Machine.create ~seed:2 () in
+  Machine.set_current m;
+  let interval = 100_000 in
+  let svc =
+    Service.create ~checkpoint:interval
+      ~structure:(module Nvt_structures.Hash_table)
+      ~flavour:(nvt_flavour ()) ~shards:2 ~mode:Service.Per_op ()
+  in
+  let key_on s =
+    let rec go k =
+      if Service.global_shard ~shards:2 k = s then k else go (k + 1)
+    in
+    go 0
+  in
+  let keys = [| key_on 0; key_on 1 |] in
+  Machine.persist_all m;
+  Service.start svc m;
+  for seq = 0 to 9 do
+    Service.submit svc
+      { Service.client = 0; seq; op = Service.Put (keys.(seq mod 2), seq) }
+  done;
+  (* every request is applied well before the first checkpoint
+     boundary; both shards then checkpoint while idle *)
+  (match Machine.advance_to m ~time:(interval + 1000) with
+  | `Barrier | `Completed -> ()
+  | `Crashed_at _ -> assert false);
+  Service.request_stop svc;
+  (match Machine.run m with
+  | Machine.Completed -> ()
+  | Machine.Crashed_at _ -> assert false);
+  Alcotest.(check int) "one checkpoint per shard" 2
+    (Service.checkpoints_taken svc);
+  Array.iteri
+    (fun si (_, _, covered) ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "shard %d dedup records" si)
+        [ (0, 8 + si) ] covered)
+    (Service.checkpoint_state svc)
 
 (* Latency sanity: percentiles are ordered and positive; open-loop
    latencies include queueing so p99 >= p50 > 0. *)
@@ -302,7 +358,11 @@ let suite =
       group_fence_count_scales;
     Alcotest.test_case "volatile negative control" `Quick volatile_control;
     Alcotest.test_case "detectable recovery: exactly-once under crashes"
-      `Quick detect_exactly_once;
+      `Quick status_oracle_under_crashes;
     Alcotest.test_case "detectable recovery: status query" `Quick
-      detect_status_query;
+      status_query;
+    Alcotest.test_case "status query after checkpoint truncation" `Quick
+      status_after_checkpoint_truncation;
+    Alcotest.test_case "checkpoint keeps a client on every shard" `Quick
+      checkpoint_keeps_client_on_every_shard;
     Alcotest.test_case "latency percentiles" `Quick latency_sane ]

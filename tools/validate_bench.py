@@ -519,10 +519,6 @@ def validate_contenders(doc):
         require(c not in seen, f"duplicate service row {c}")
         seen.add(c)
         require(x["acked"] > 0, f"service {c}: no acks")
-        require(
-            x["detect"] == (x["policy"] == "det"),
-            f"service {c}: detect mode armed iff the det policy runs",
-        )
         if x["violations"]:
             ok = False
     for c in ("nvt", "nvt+opt", "soft", "det"):
