@@ -51,49 +51,40 @@ let run ?json_path () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
+  let limit = 2000 and quota = 0.5 in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+    Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:(Some 1000) ()
   in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   Printf.printf "\n# Microbenchmarks (native backend, ns/op)\n";
-  Hashtbl.iter
-    (fun name ols_result ->
-      Fmt.pr "%-32s %a@." name Analyze.OLS.pp ols_result)
-    results;
-  match json_path with
-  | None -> ()
-  | Some path ->
-    let module Json = Nvt_harness.Json in
-    let rows =
-      Hashtbl.fold
-        (fun name ols_result acc ->
-          let ns_per_op =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> Json.Float e
-            | Some [] | None -> Json.Null
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with
-            | Some r -> Json.Float r
-            | None -> Json.Null
-          in
-          Json.Obj
-            [ ("name", Json.Str name);
-              ("ns_per_op", ns_per_op);
-              ("r_square", r2) ]
-          :: acc)
-        results []
-    in
+  let module Record = Nvt_harness.Record in
+  let rows =
+    Hashtbl.fold
+      (fun name ols_result acc ->
+        let ns_per_op =
+          match Analyze.OLS.estimates ols_result with
+          | Some (e :: _) -> e
+          | Some [] | None -> Float.nan
+        in
+        let r_square =
+          Option.value (Analyze.OLS.r_square ols_result) ~default:Float.nan
+        in
+        { Record.table = "ns/op";
+          labels = [ ("name", name) ];
+          metrics =
+            [ Record.wall ~unit:"ns/op" "ns_per_op" ns_per_op;
+              Record.wall ~unit:"ratio" "r_square" r_square ] }
+        :: acc)
+      results []
     (* Hashtbl.fold order is unspecified; sort by name for stable output *)
-    let name_of = function
-      | Json.Obj (("name", Json.Str n) :: _) -> n
-      | _ -> ""
-    in
-    let rows = List.sort (fun a b -> compare (name_of a) (name_of b)) rows in
-    Json.write_file path
-      (Json.Obj
-         [ ("schema", Json.Str "nvtraverse-micro/1");
-           ("unit", Json.Str "ns/op");
-           ("results", Json.List rows) ]);
-    Printf.printf "wrote %s\n%!" path
+    |> List.sort compare
+  in
+  Record.print rows;
+  Record.finish ?json_path
+    { bench = "micro";
+      scale = "full";
+      seed = None;
+      config =
+        [ ("size", Int size); ("quota_s", Float quota); ("limit", Int limit) ];
+      rows }

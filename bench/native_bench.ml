@@ -40,17 +40,18 @@ let run () =
   Printf.printf
     "\n# Native-domain throughput (real wall clock, Mops/s; flush/fence \
      as counters), Harris list, 1024 keys, 80%% lookups\n";
-  Printf.printf "%-8s %12s %12s %12s\n" "domains" "orig" "nvt" "izr";
-  List.iter
-    (fun domains ->
-      let orig =
-        run_one (module Hl_orig) ~domains ~range:1024 ~ops_per_domain:20_000
-      in
-      let nvt =
-        run_one (module Hl_nvt) ~domains ~range:1024 ~ops_per_domain:20_000
-      in
-      let izr =
-        run_one (module Hl_izr) ~domains ~range:1024 ~ops_per_domain:5_000
-      in
-      Printf.printf "%-8d %12.3f %12.3f %12.3f\n%!" domains orig nvt izr)
-    [ 1; 2 ]
+  let module Record = Nvt_harness.Record in
+  Record.print
+    (List.map
+       (fun domains ->
+         let mops name (module S : Nvt_core.Set_intf.SET) ops_per_domain =
+           Record.wall ~unit:"Mops/s" name
+             (run_one (module S) ~domains ~range:1024 ~ops_per_domain)
+         in
+         { Record.table = "Mops/s";
+           labels = [ ("domains", string_of_int domains) ];
+           metrics =
+             [ mops "orig" (module Hl_orig) 20_000;
+               mops "nvt" (module Hl_nvt) 20_000;
+               mops "izr" (module Hl_izr) 5_000 ] })
+       [ 1; 2 ])

@@ -4,9 +4,10 @@
 
    Each pair runs the same single-threaded seeded workload twice on
    fresh machines: once with no plan installed (base) and once under
-   the plan [Mutlab.plan_of_report] derives from the committed
-   MUTATION_report.json (optimized: deferred boundary persistence plus
-   elision of the pair's candidate-redundant sites). Single-threaded
+   the plan [Mutlab.plan_of_report] derives from the mutation report
+   `nvtsim mutate` writes, MUTATION_report.json by default (optimized:
+   deferred boundary persistence plus elision of the pair's
+   candidate-redundant sites). Single-threaded
    runs make the operation history — the full (op, key, result)
    sequence — a pure function of the seed, so the bench can check that
    the two runs return identical results operation by operation: the
@@ -19,14 +20,15 @@
    fences per written key, the amortization a k-key batch buys by
    committing one ledger record under one pair of fences.
 
-   Self-gates (recomputed by tools/validate_bench.py):
+   Self-gates (the bench exits non-zero on any):
    - every structure pair's base and optimized histories are identical;
    - volatile control rows read zero flushes and fences in both series;
    - the optimizer never increases flushes or fences anywhere;
    - at least two durable pairs cut flushes/op by >= 15%;
-   - every service run is exactly-once clean, the optimized per-op row
-     fences below the base, and the multi-put row's fences per key
-     below the scalar per-op fences per request. *)
+   - every service run is exactly-once clean, every optimized row
+     fences below its base, the multi-put row issues multi-puts, and
+     its fences per key fall below the scalar per-op fences per
+     request. *)
 
 module Machine = Nvt_sim.Machine
 module Stats = Nvt_nvm.Stats
@@ -35,16 +37,23 @@ module Workload = Nvt_workload.Workload
 module Mutlab = Nvt_harness.Mutlab
 module I = Nvt_harness.Instances
 module Json = Nvt_harness.Json
+module Record = Nvt_harness.Record
 module Runner = Nvt_service.Runner
-module Service = Nvt_service.Service
 
 module type SET = Nvt_core.Set_intf.SET
+
+(* The mutation report the elision plans are derived from; exit 2 if
+   it cannot be read. *)
+let load_report path =
+  match Json.parse_file path with
+  | j -> j
+  | exception (Sys_error msg | Json.Parse_error msg) ->
+    Printf.eprintf "cannot read mutation report %s: %s\n" path msg;
+    exit 2
 
 type series = {
   flushes : int;
   fences : int;
-  flushes_per_op : float;
-  fences_per_op : float;
   history : (int * int * bool) list;  (* (op tag, key, result) *)
   counters : Optimizer.counters;
 }
@@ -79,122 +88,53 @@ let run_series (module S : SET) ~seed ~ops ~range ~pct plan : series =
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> assert false);
   let st = Stats.diff ~after:(Machine.stats m) ~before in
-  let per_op n = float_of_int n /. float_of_int (max 1 ops) in
   { flushes = st.Stats.flushes;
     fences = st.Stats.fences;
-    flushes_per_op = per_op st.Stats.flushes;
-    fences_per_op = per_op st.Stats.fences;
     history = List.rev !hist;
     counters = Optimizer.counters () }
 
-type row = {
-  r_structure : string;
-  r_policy : string;
-  r_durable : bool;
-  r_elided : string list;
-  r_base : series;
-  r_opt : series;
-}
+(* History digest for the artifact: order-chained, so equal values
+   certify equal sequences without shipping the full history. *)
+let digest h = List.fold_left (fun acc e -> Hashtbl.hash (acc, e)) 0 h
 
-let identical r = r.r_base.history = r.r_opt.history
+let series_metrics ~ops (s : series) =
+  let per_op n = float_of_int n /. float_of_int (max 1 ops) in
+  let c = s.counters in
+  [ Record.count "ops" ops;
+    Record.count "flushes" s.flushes;
+    Record.count "fences" s.fences;
+    Record.sim ~unit:"count/op" "flushes_per_op" (per_op s.flushes);
+    Record.sim ~unit:"count/op" "fences_per_op" (per_op s.fences);
+    Record.count "history_digest" (digest s.history);
+    Record.count "coalesced_flushes" c.Optimizer.coalesced_flushes;
+    Record.count "deferred_flushes" c.deferred_flushes;
+    Record.count "elided_flushes" c.elided_flushes;
+    Record.count "elided_fences" c.elided_fences ]
 
 let reduction base opt =
   if base = 0 then 0.0 else 1.0 -. (float_of_int opt /. float_of_int base)
 
-let flush_reduction r = reduction r.r_base.flushes r.r_opt.flushes
-let fence_reduction r = reduction r.r_base.fences r.r_opt.fences
-
-(* History digest for the JSON artifact: order-chained, so equal values
-   certify equal sequences for the validator without shipping the full
-   history. *)
-let digest h = List.fold_left (fun acc e -> Hashtbl.hash (acc, e)) 0 h
-
-let series_json (s : series) : Json.t =
-  Json.Obj
-    [ ("flushes", Json.Int s.flushes);
-      ("fences", Json.Int s.fences);
-      ("flushes_per_op", Json.Float s.flushes_per_op);
-      ("fences_per_op", Json.Float s.fences_per_op);
-      ("history_digest", Json.Int (digest s.history));
-      ("coalesced_flushes", Json.Int s.counters.Optimizer.coalesced_flushes);
-      ("deferred_flushes", Json.Int s.counters.Optimizer.deferred_flushes);
-      ("elided_flushes", Json.Int s.counters.Optimizer.elided_flushes);
-      ("elided_fences", Json.Int s.counters.Optimizer.elided_fences) ]
-
-let row_json (r : row) : Json.t =
-  Json.Obj
-    [ ("structure", Json.Str r.r_structure);
-      ("policy", Json.Str r.r_policy);
-      ("durable", Json.Bool r.r_durable);
-      ("elided", Json.List (List.map (fun s -> Json.Str s) r.r_elided));
-      ("base", series_json r.r_base);
-      ("optimized", series_json r.r_opt);
-      ("identical_histories", Json.Bool (identical r));
-      ("flush_reduction", Json.Float (flush_reduction r));
-      ("fence_reduction", Json.Float (fence_reduction r)) ]
-
-(* ---- service leg ---- *)
-
-type svc_row = {
-  s_label : string;
-  s_base : Runner.report;
-  s_opt : Runner.report;
-}
-
 (* Written keys: one per scalar request plus the extra k-1 of each
    multi-put — the denominator under which batched commits amortize. *)
-let keys_touched (r : Runner.report) =
-  r.acked + (r.multi_puts * (r.config.multi_k - 1))
-
 let fences_per_key (r : Runner.report) =
-  if keys_touched r = 0 then 0.0
-  else float_of_int r.stats.Stats.fences /. float_of_int (keys_touched r)
+  let keys = r.acked + (r.multi_puts * (r.config.multi_k - 1)) in
+  if keys = 0 then 0.0
+  else float_of_int r.stats.Stats.fences /. float_of_int keys
 
-let svc_row_json (x : svc_row) : Json.t =
-  let side (r : Runner.report) =
-    Json.Obj
-      [ ("fences_per_op", Json.Float (Runner.fences_per_op r));
-        ("flushes_per_op", Json.Float (Runner.flushes_per_op r));
-        ("fences_per_key", Json.Float (fences_per_key r));
-        ("acked", Json.Int r.acked);
-        ("multi_puts", Json.Int r.multi_puts);
-        ("rmws", Json.Int r.rmws);
-        ( "violations",
-          Json.List (List.map (fun v -> Json.Str v) r.violations) ) ]
-  in
-  Json.Obj
-    [ ("label", Json.Str x.s_label);
-      ("mode", Json.Str (Service.mode_name x.s_base.config.mode));
-      ("multi_pct", Json.Int x.s_base.config.multi_pct);
-      ("multi_k", Json.Int x.s_base.config.multi_k);
-      ("base", side x.s_base);
-      ("optimized", side x.s_opt) ]
-
-let run ?json_path ?(quick = false) ?(seed = 1)
-    ?(report_path = "MUTATION_report.json") () =
-  let report =
-    match Json.parse_file report_path with
-    | j -> j
-    | exception Sys_error msg ->
-      Printf.eprintf "optimizer bench: cannot read %s: %s\n" report_path msg;
-      exit 2
-    | exception Json.Parse_error msg ->
-      Printf.eprintf "optimizer bench: cannot parse %s: %s\n" report_path msg;
-      exit 2
-  in
+let run ?json_path ~quick ~seed ~report_path () =
+  let report = load_report report_path in
   let ops = if quick then 1500 else 6000 in
   let range = if quick then 128 else 256 in
   let pct = 40 in
   let structures = [ "list"; "bst-nm"; "hash" ] in
   Printf.printf
     "persistence-optimizer bench (%s): %d ops, range %d, %d%% updates, \
-     plans from %s\n\
-     %-9s %-11s %9s %9s %7s %9s %9s %7s %5s %s\n"
+     plans from %s\n%!"
     (if quick then "quick" else "full")
-    ops range pct report_path "structure" "policy" "flush/op" "opt" "cut%"
-    "fence/op" "opt" "cut%" "hist" "elided";
+    ops range pct report_path;
+  let g = Record.gate () in
   let table = I.table () in
-  let rows =
+  let pairs =
     List.concat_map
       (fun s_name ->
         let variants = List.assoc s_name table in
@@ -202,54 +142,60 @@ let run ?json_path ?(quick = false) ?(seed = 1)
           (fun (f : I.flavour) ->
             if not (I.supports f s_name) then None
             else
-            let (module Pol : I.POLICY) = f.policy in
-            let set = List.assoc f.key variants in
-            let f_ops =
-              max 200 (int_of_float (float_of_int ops *. f.ops_scale))
-            in
-            let plan =
-              Mutlab.plan_of_report report ~structure:s_name ~policy:f.key
-            in
-            let go p = run_series set ~seed ~ops:f_ops ~range ~pct p in
-            let base = go None in
-            let opt = go (Some plan) in
-            let r =
-              { r_structure = s_name;
-                r_policy = f.key;
-                r_durable = Pol.durable;
-                r_elided = (if Pol.durable then plan.Optimizer.elide else []);
-                r_base = base;
-                r_opt = opt }
-            in
-            Printf.printf
-              "%-9s %-11s %9.3f %9.3f %6.1f%% %9.3f %9.3f %6.1f%% %5s %s\n%!"
-              s_name f.key base.flushes_per_op opt.flushes_per_op
-              (100.0 *. flush_reduction r)
-              base.fences_per_op opt.fences_per_op
-              (100.0 *. fence_reduction r)
-              (if identical r then "ok" else "DIFF")
-              (String.concat "," r.r_elided);
-            Some r)
+              let (module Pol : I.POLICY) = f.policy in
+              let set = List.assoc f.key variants in
+              let f_ops =
+                max 200 (int_of_float (float_of_int ops *. f.ops_scale))
+              in
+              let plan =
+                Mutlab.plan_of_report report ~structure:s_name ~policy:f.key
+              in
+              let go p = run_series set ~seed ~ops:f_ops ~range ~pct p in
+              let base = go None and opt = go (Some plan) in
+              let name = s_name ^ "/" ^ f.key in
+              Record.check g (base.history = opt.history)
+                "%s optimized history diverges from base" name;
+              Record.check g (opt.flushes <= base.flushes)
+                "%s optimizer increased flushes (%d -> %d)" name base.flushes
+                opt.flushes;
+              Record.check g (opt.fences <= base.fences)
+                "%s optimizer increased fences (%d -> %d)" name base.fences
+                opt.fences;
+              if not Pol.durable then
+                List.iter
+                  (fun (which, s) ->
+                    Record.check g
+                      (s.flushes = 0 && s.fences = 0)
+                      "volatile control %s %s series not erased to zero (%d \
+                       flushes, %d fences)"
+                      name which s.flushes s.fences)
+                  [ ("base", base); ("optimized", opt) ];
+              let elided = if Pol.durable then plan.Optimizer.elide else [] in
+              let row plan_name extra s : Record.row =
+                { table = "structures";
+                  labels =
+                    [ ("structure", s_name); ("policy", f.key);
+                      ("plan", plan_name) ]
+                    @ extra;
+                  metrics = series_metrics ~ops:f_ops s }
+              in
+              Some
+                ( Pol.durable && reduction base.flushes opt.flushes >= 0.15,
+                  [ row "base" [] base;
+                    row "opt"
+                      [ ("elided",
+                         if elided = [] then "-" else String.concat "," elided) ]
+                      opt ] ))
           I.flavours)
       structures
   in
+  let big_cuts = List.length (List.filter fst pairs) in
+  Record.check g (big_cuts >= 2)
+    "only %d durable pair(s) cut flushes/op by >= 15%% (need 2)" big_cuts;
 
   (* ---- service leg: hash/nvt per-op, group, and multi-put mixes ---- *)
   let requests = if quick then 600 else 2000 in
-  let base_cfg =
-    { Runner.default_config with
-      seed;
-      requests;
-      structure = "hash";
-      flavour = "nvt";
-      shards = 4;
-      clients = 16;
-      mean_gap = 600;
-      skew = 0.99;
-      update_pct = 50;
-      key_range = 512;
-      watchdog = 40_000_000 }
-  in
+  let base_cfg = Service.base ~seed ~requests in
   let svc_plan =
     Mutlab.plan_of_report report ~structure:base_cfg.Runner.structure
       ~policy:base_cfg.Runner.flavour
@@ -257,101 +203,66 @@ let run ?json_path ?(quick = false) ?(seed = 1)
   let svc_cell label cfg =
     let b = Runner.run { cfg with Runner.plan = Some Optimizer.no_opt } in
     let o = Runner.run { cfg with Runner.plan = Some svc_plan } in
-    { s_label = label; s_base = b; s_opt = o }
+    List.iter
+      (fun (r : Runner.report) ->
+        List.iter (Record.fail g "service %s: %s" label) r.violations)
+      [ b; o ];
+    Record.check g
+      (Runner.fences_per_op o < Runner.fences_per_op b)
+      "service %s: optimized fences/op %.3f not below base %.3f" label
+      (Runner.fences_per_op o) (Runner.fences_per_op b);
+    (label, b, o)
   in
-  let svc_rows =
-    [ svc_cell "per_op" { base_cfg with Runner.mode = Service.Per_op };
+  let svc =
+    [ svc_cell "per_op" { base_cfg with Runner.mode = Nvt_service.Service.Per_op };
       svc_cell "group64"
         { base_cfg with
-          Runner.mode = Service.Group { batch = 64; timeout = 8000 } };
+          Runner.mode = Nvt_service.Service.Group { batch = 64; timeout = 8000 } };
       svc_cell "per_op+mput"
         { base_cfg with
-          Runner.mode = Service.Per_op;
+          Runner.mode = Nvt_service.Service.Per_op;
           multi_pct = 30;
           multi_k = 8 } ]
   in
-  Printf.printf
-    "service (%s/%s, %d requests):\n\
-     %-12s %10s %10s %12s %12s %6s\n"
-    base_cfg.Runner.structure base_cfg.Runner.flavour requests "row"
-    "fences/op" "opt" "fences/key" "opt" "viols";
-  List.iter
-    (fun x ->
-      Printf.printf "%-12s %10.3f %10.3f %12.3f %12.3f %6d\n%!" x.s_label
-        (Runner.fences_per_op x.s_base)
-        (Runner.fences_per_op x.s_opt)
-        (fences_per_key x.s_base) (fences_per_key x.s_opt)
-        (List.length x.s_base.violations + List.length x.s_opt.violations);
-      List.iter
-        (fun v -> Printf.printf "    VIOLATION: %s\n" v)
-        (x.s_base.violations @ x.s_opt.violations))
-    svc_rows;
-
-  (* ---- self-gates ---- *)
-  let ok = ref true in
-  let fail fmt = Printf.ksprintf (fun s -> Printf.printf "FAIL: %s\n" s; ok := false) fmt in
-  List.iter
-    (fun r ->
-      if not (identical r) then
-        fail "%s/%s optimized history diverges from base" r.r_structure
-          r.r_policy;
-      if r.r_opt.flushes > r.r_base.flushes then
-        fail "%s/%s optimizer increased flushes (%d -> %d)" r.r_structure
-          r.r_policy r.r_base.flushes r.r_opt.flushes;
-      if r.r_opt.fences > r.r_base.fences then
-        fail "%s/%s optimizer increased fences (%d -> %d)" r.r_structure
-          r.r_policy r.r_base.fences r.r_opt.fences;
-      if not r.r_durable then
-        List.iter
-          (fun (which, s) ->
-            if s.flushes <> 0 || s.fences <> 0 then
-              fail "volatile control %s/%s %s series not erased to zero \
-                    (%d flushes, %d fences)"
-                r.r_structure r.r_policy which s.flushes s.fences)
-          [ ("base", r.r_base); ("optimized", r.r_opt) ])
-    rows;
-  let big_pairs =
-    List.filter (fun r -> r.r_durable && flush_reduction r >= 0.15) rows
-  in
-  if List.length big_pairs < 2 then
-    fail "only %d durable pair(s) cut flushes/op by >= 15%% (need 2)"
-      (List.length big_pairs);
-  List.iter
-    (fun x ->
-      if x.s_base.violations <> [] || x.s_opt.violations <> [] then
-        fail "service row %s has exactly-once violations" x.s_label)
-    svc_rows;
-  (match svc_rows with
-  | per_op :: _ :: mput :: _ ->
-    if Runner.fences_per_op per_op.s_opt >= Runner.fences_per_op per_op.s_base
-    then
-      fail "optimized per-op service fences/op %.3f not below base %.3f"
-        (Runner.fences_per_op per_op.s_opt)
-        (Runner.fences_per_op per_op.s_base);
-    if fences_per_key mput.s_base >= Runner.fences_per_op per_op.s_base then
-      fail
-        "multi-put fences/key %.3f not below scalar per-op fences/op %.3f — \
-         batching amortized nothing"
-        (fences_per_key mput.s_base)
-        (Runner.fences_per_op per_op.s_base)
+  (match svc with
+  | [ (_, per_op, _); _; (_, mput, _) ] ->
+    Record.check g (mput.multi_puts > 0) "multi-put mix issued no multi-puts";
+    Record.check g
+      (fences_per_key mput < Runner.fences_per_op per_op)
+      "multi-put fences/key %.3f not below scalar per-op fences/op %.3f — \
+       batching amortized nothing"
+      (fences_per_key mput) (Runner.fences_per_op per_op)
   | _ -> assert false);
-
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let json =
-      Json.Obj
-        [ ("schema", Json.Str "nvtraverse-optimizer/1");
-          ("quick", Json.Bool quick);
-          ("seed", Json.Int seed);
-          ("report", Json.Str report_path);
-          ("ops", Json.Int ops);
-          ("range", Json.Int range);
-          ("update_pct", Json.Int pct);
-          ("structures", Json.List (List.map row_json rows));
-          ("service", Json.List (List.map svc_row_json svc_rows));
-          ("gate_ok", Json.Bool !ok) ]
-    in
-    Json.write_file path json;
-    Printf.printf "wrote %s\n%!" path);
-  if not !ok then exit 1
+  let svc_rows =
+    List.concat_map
+      (fun (label, b, o) ->
+        List.map
+          (fun (plan, r) : Record.row ->
+            { table = "service";
+              labels = [ ("row", label); ("plan", plan) ];
+              metrics =
+                Runner.metrics r
+                @ [ Record.sim ~unit:"count/key" "fences_per_key"
+                      (fences_per_key r) ] })
+          [ ("base", b); ("opt", o) ])
+      svc
+  in
+  let rows = List.concat_map snd pairs @ svc_rows in
+  Record.print
+    ~columns:
+      [ ( "structures",
+          [ "flushes_per_op"; "fences_per_op"; "coalesced_flushes";
+            "deferred_flushes"; "elided_flushes"; "elided_fences" ] );
+        ("service", [ "fences_per_op"; "flushes_per_op"; "fences_per_key" ]) ]
+    rows;
+  Record.finish ?json_path ~gate:g
+    { bench = "optimizer";
+      scale = (if quick then "quick" else "full");
+      seed = Some seed;
+      config =
+        [ ("report", Str report_path);
+          ("ops", Int ops);
+          ("range", Int range);
+          ("update_pct", Int pct);
+          ("service_requests", Int requests) ];
+      rows }

@@ -20,13 +20,16 @@
 
    Store-size axis: the sweep runs over 256 keys; the checkpointed
    1000-request cells are repeated over 4096 keys. Each row records the
-   store's live keys and prints recovery steps per live key. Recovery
-   still walks every shard's whole store once (every bucket head, then
-   every node), so its steps grow with the store; no gate holds them
-   flat along this axis yet.
+   store's live keys next to its recovery steps. Recovery still walks
+   every shard's whole store once (every bucket head, then every node),
+   so its steps grow with the store; no gate holds them flat along this
+   axis yet.
 
-   Self-gates (all also recomputed by tools/validate_bench.py):
-   - every run exact-once clean;
+   Self-gates (the bench exits non-zero on any):
+   - every run exact-once clean, with exactly its one crash fired and
+     a live store of at most the key range;
+   - baseline rows take no checkpoint and truncate nothing; checkpointed
+     rows take at least one;
    - checkpointed recovery replays no more than the baseline, at every
      cell;
    - at the largest run the checkpointed replay is at most half the
@@ -36,16 +39,16 @@
 
 module Runner = Nvt_service.Runner
 module Service = Nvt_service.Service
-module Json = Nvt_harness.Json
+module Record = Nvt_harness.Record
 
-type row = {
-  rw_requests : int;
-  rw_keys : int;  (* key range; the store holds about half of it *)
-  rw_domains : int;
-  rw_interval : int;
-  rw_crash_step : int;
-  rw_report : Runner.report;
-  rw_wall : float;
+type cell = {
+  requests : int;
+  keys : int;  (* key range; the store holds about half of it *)
+  domains : int;
+  interval : int;
+  crash_step : int;
+  report : Runner.report;
+  wall_s : float;
 }
 
 let base_keys = 256
@@ -76,68 +79,36 @@ let cell ~seed ~requests ~keys ~domains ~interval =
   let probe = Runner.run cfg in
   let crash_step = probe.steps * 9 / 10 in
   let t0 = Unix.gettimeofday () in
-  let r = Runner.run { cfg with crash_steps = [ crash_step ] } in
-  let wall = Unix.gettimeofday () -. t0 in
-  { rw_requests = requests;
-    rw_keys = keys;
-    rw_domains = domains;
-    rw_interval = interval;
-    rw_crash_step = crash_step;
-    rw_report = r;
-    rw_wall = wall }
+  let report = Runner.run { cfg with crash_steps = [ crash_step ] } in
+  { requests; keys; domains; interval; crash_step; report;
+    wall_s = Unix.gettimeofday () -. t0 }
 
-let row_json (x : row) : Json.t =
-  let r = x.rw_report in
-  Json.Obj
-    [ ("requests", Json.Int x.rw_requests);
-      ("key_range", Json.Int x.rw_keys);
-      ("live_keys", Json.Int r.live_keys);
-      ("domains", Json.Int x.rw_domains);
-      ("checkpoint_interval", Json.Int x.rw_interval);
-      ("crash_step", Json.Int x.rw_crash_step);
-      ("acked", Json.Int r.acked);
-      ("crashes_fired", Json.Int r.crashes_fired);
-      ("committed", Json.Int r.committed);
-      ("checkpoints", Json.Int r.checkpoints);
-      ("truncated", Json.Int r.truncated);
-      ("replayed", Json.Int r.replayed);
-      ("recovery_steps", Json.Int r.recovery_steps);
-      ("recovery_time", Json.Int r.recovery_time);
-      ("wall_s", Json.Float x.rw_wall);
-      ("violations",
-       Json.List (List.map (fun v -> Json.Str v) r.violations)) ]
+let row (x : cell) : Record.row =
+  { table = "cells";
+    labels =
+      List.map
+        (fun (k, v) -> (k, string_of_int v))
+        [ ("requests", x.requests); ("keys", x.keys); ("domains", x.domains);
+          ("interval", x.interval) ];
+    metrics =
+      (Record.count "crash_step" x.crash_step :: Runner.metrics x.report)
+      @ [ Record.wall ~unit:"s" "wall_s" x.wall_s ] }
 
-let run ?json_path ?(quick = false) ?(seed = 1) () =
+let run ?json_path ~quick ~seed () =
   let sizes = if quick then [ 250; 500; 1000 ] else [ 500; 1000; 2000; 4000 ] in
   let intervals = if quick then [ 0; 4000 ] else [ 0; 2000; 8000 ] in
   let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   Printf.printf
-    "service recovery bench (%s): hash/nvt, 4 shards, per-op commit\n\
-     %8s %5s %5s %7s %8s %9s %9s %8s %9s %9s %9s %9s %6s\n"
-    (if quick then "quick" else "full")
-    "requests" "keys" "live" "domains" "interval" "committed" "ckpts"
-    "replayed" "rec steps" "steps/key" "rec time" "wall s" "viols";
-  let row ~requests ~keys ~domains ~interval =
-    let x = cell ~seed ~requests ~keys ~domains ~interval in
-    let r = x.rw_report in
-    Printf.printf
-      "%8d %5d %5d %7d %8d %9d %9d %8d %9d %9.2f %9d %9.3f %6d\n%!"
-      requests keys r.live_keys domains interval r.committed r.checkpoints
-      r.replayed r.recovery_steps
-      (float_of_int r.recovery_steps /. float_of_int (max 1 r.live_keys))
-      r.recovery_time x.rw_wall
-      (List.length r.violations);
-    List.iter (fun v -> Printf.printf "    VIOLATION: %s\n" v) r.violations;
-    x
-  in
-  let rows =
+    "service recovery bench (%s): hash/nvt, 4 shards, per-op commit\n%!"
+    (if quick then "quick" else "full");
+  let sweep =
     List.concat_map
       (fun requests ->
         List.concat_map
           (fun domains ->
             List.map
               (fun interval ->
-                row ~requests ~keys:base_keys ~domains ~interval)
+                cell ~seed ~requests ~keys:base_keys ~domains ~interval)
               intervals)
           domain_counts)
       sizes
@@ -151,45 +122,56 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
             if interval = 0 then None
             else
               Some
-                (row ~requests:store_size_requests ~keys:store_size_keys
+                (cell ~seed ~requests:store_size_requests ~keys:store_size_keys
                    ~domains ~interval))
           intervals)
       domain_counts
   in
-  let ok = ref true in
-  let fail fmt = Printf.ksprintf (fun s -> Printf.printf "FAIL: %s\n" s; ok := false) fmt in
+  let cells = sweep @ big_store in
+  Record.print
+    ~columns:
+      [ ( "cells",
+          [ "live_keys"; "committed"; "checkpoints"; "replayed";
+            "recovery_steps"; "recovery_time"; "wall_s" ] ) ]
+    (List.map row cells);
+  let g = Record.gate () in
   List.iter
     (fun x ->
-      if x.rw_report.violations <> [] then
-        fail "requests=%d domains=%d interval=%d has violations"
-          x.rw_requests x.rw_domains x.rw_interval;
-      if x.rw_report.crashes_fired <> 1 then
-        fail "requests=%d domains=%d interval=%d fired %d crashes, wanted 1"
-          x.rw_requests x.rw_domains x.rw_interval x.rw_report.crashes_fired;
-      if x.rw_interval = 0 && x.rw_report.checkpoints <> 0 then
-        fail "baseline row took %d checkpoints" x.rw_report.checkpoints;
-      if x.rw_interval > 0 && x.rw_report.checkpoints = 0 then
-        fail "requests=%d domains=%d interval=%d took no checkpoints"
-          x.rw_requests x.rw_domains x.rw_interval)
-    (rows @ big_store);
+      let r = x.report in
+      let name =
+        Printf.sprintf "requests=%d keys=%d domains=%d interval=%d" x.requests
+          x.keys x.domains x.interval
+      in
+      List.iter (Record.fail g "%s: %s" name) r.violations;
+      Record.check g (r.crashes_fired = 1) "%s fired %d crashes, wanted 1"
+        name r.crashes_fired;
+      Record.check g
+        (r.live_keys > 0 && r.live_keys <= x.keys)
+        "%s: %d live keys over %d keys" name r.live_keys x.keys;
+      if x.interval = 0 then
+        Record.check g
+          (r.checkpoints = 0 && r.truncated = 0)
+          "%s: baseline took %d checkpoints, truncated %d entries" name
+          r.checkpoints r.truncated
+      else
+        Record.check g (r.checkpoints > 0) "%s took no checkpoints" name)
+    cells;
   let find requests domains interval =
     List.find
       (fun x ->
-        x.rw_requests = requests && x.rw_domains = domains
-        && x.rw_interval = interval)
-      rows
+        x.requests = requests && x.domains = domains && x.interval = interval)
+      sweep
   in
   List.iter
     (fun x ->
-      if x.rw_interval > 0 then begin
-        let b = find x.rw_requests x.rw_domains 0 in
-        if x.rw_report.replayed > b.rw_report.replayed then
-          fail
-            "requests=%d domains=%d interval=%d replayed %d > baseline %d"
-            x.rw_requests x.rw_domains x.rw_interval x.rw_report.replayed
-            b.rw_report.replayed
+      if x.interval > 0 then begin
+        let b = find x.requests x.domains 0 in
+        Record.check g
+          (x.report.replayed <= b.report.replayed)
+          "requests=%d domains=%d interval=%d replayed %d > baseline %d"
+          x.requests x.domains x.interval x.report.replayed b.report.replayed
       end)
-    rows;
+    sweep;
   let n_min = List.hd sizes and n_max = List.hd (List.rev sizes) in
   List.iter
     (fun domains ->
@@ -198,38 +180,28 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
           if interval > 0 then begin
             let big = find n_max domains interval in
             let b = find n_max domains 0 in
-            if big.rw_report.replayed * 2 > b.rw_report.replayed then
-              fail
-                "domains=%d interval=%d: replay at %d requests (%d) is not \
-                 under half the full-replay baseline (%d) — recovery is not \
-                 flat in log length"
-                domains interval n_max big.rw_report.replayed
-                b.rw_report.replayed
+            Record.check g
+              (big.report.replayed * 2 <= b.report.replayed)
+              "domains=%d interval=%d: replay at %d requests (%d) is not \
+               under half the full-replay baseline (%d) — recovery is not \
+               flat in log length"
+              domains interval n_max big.report.replayed b.report.replayed
           end)
         intervals;
       let b_small = find n_min domains 0 and b_big = find n_max domains 0 in
-      if b_big.rw_report.replayed <= b_small.rw_report.replayed then
-        fail
-          "domains=%d: full-replay baseline does not grow with the log \
-           (%d entries at %d requests, %d at %d)"
-          domains b_small.rw_report.replayed n_min b_big.rw_report.replayed
-          n_max)
+      Record.check g
+        (b_big.report.replayed > b_small.report.replayed)
+        "domains=%d: full-replay baseline does not grow with the log (%d \
+         entries at %d requests, %d at %d)"
+        domains b_small.report.replayed n_min b_big.report.replayed n_max)
     domain_counts;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let json =
-      Json.Obj
-        [ ("schema", Json.Str "nvtraverse-recovery/1");
-          ("quick", Json.Bool quick);
-          ("seed", Json.Int seed);
-          ("structure", Json.Str "hash");
-          ("policy", Json.Str "nvt");
-          ("shards", Json.Int 4);
-          ("mode", Json.Str "per-op");
-          ("gate_ok", Json.Bool !ok);
-          ("rows", Json.List (List.map row_json (rows @ big_store))) ]
-    in
-    Json.write_file path json;
-    Printf.printf "wrote %s\n%!" path);
-  if not !ok then exit 1
+  Record.finish ?json_path ~gate:g
+    { bench = "recovery-service";
+      scale = (if quick then "quick" else "full");
+      seed = Some seed;
+      config =
+        [ ("structure", Str "hash");
+          ("policy", Str "nvt");
+          ("shards", Int 4);
+          ("mode", Str "per-op") ];
+      rows = List.map row cells }

@@ -30,24 +30,7 @@ module Machine = Nvt_sim.Machine
 module Cost_model = Nvt_nvm.Cost_model
 module I = Nvt_harness.Instances
 module Workload = Nvt_workload.Workload
-module Json = Nvt_harness.Json
-
-type row = {
-  panel : string;
-  threads : int;
-  steps : int;
-  seconds : float;
-  steps_per_sec : float;
-}
-
-type domain_row = {
-  d_panel : string;
-  d_domains : int;
-  d_threads_per_domain : int;
-  d_steps : int;  (* summed over the domains' machines *)
-  d_seconds : float;  (* wall clock across the fork/join *)
-  d_steps_per_sec : float;
-}
+module Record = Nvt_harness.Record
 
 type panel = {
   p_name : string;
@@ -135,7 +118,13 @@ let measure_domains (p : panel) ~seed ~range ~total_ops ~domains
       let dt = Unix.gettimeofday () -. t0 in
       (Array.fold_left ( + ) 0 steps, dt))
 
-let run ?json_path ?(quick = false) ?(seed = 1) () =
+(* A row's metrics: the step count is simulated (it repeats for a
+   seed), the rate is host time. *)
+let rate ~steps ~seconds =
+  [ Record.count "steps" steps;
+    Record.wall ~unit:"steps/s" "steps_per_s" (float_of_int steps /. seconds) ]
+
+let run ?json_path ~quick ~seed () =
   let thread_counts =
     if quick then [ 1; 8; 32; 64 ]
     else [ 1; 2; 4; 8; 16; 32; 48; 64; 96; 128 ]
@@ -144,10 +133,8 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
   let reps = if quick then 1 else 3 in
   let range = 256 in
   Printf.printf
-    "simulator self-benchmark (%s): simulated steps per wall second\n\
-     %-8s %8s %12s %10s %14s\n"
-    (if quick then "quick" else "full")
-    "panel" "threads" "steps" "seconds" "steps/sec";
+    "simulator self-benchmark (%s): simulated steps per wall second\n%!"
+    (if quick then "quick" else "full");
   let rows =
     List.concat_map
       (fun p ->
@@ -161,82 +148,50 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
               | _ -> best := Some (steps, dt)
             done;
             let steps, seconds = Option.get !best in
-            let steps_per_sec = float_of_int steps /. seconds in
-            Printf.printf "%-8s %8d %12d %10.3f %14.3e\n%!" p.p_name threads
-              steps seconds steps_per_sec;
-            { panel = p.p_name; threads; steps; seconds; steps_per_sec })
+            { Record.table = "threads";
+              labels = [ ("panel", p.p_name); ("threads", string_of_int threads) ];
+              metrics = rate ~steps ~seconds })
           thread_counts)
       panels
   in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   let threads_per_domain = 32 in
   let dpanel = List.hd panels in
-  Printf.printf "%-8s %8s %12s %10s %14s\n" "panel" "domains" "steps"
-    "seconds" "steps/sec";
   let domain_rows =
     List.map
       (fun domains ->
-        let d_steps, d_seconds =
+        (* steps summed over the domains' machines, seconds across the
+           fork/join *)
+        let steps, seconds =
           measure_domains dpanel ~seed ~range ~total_ops ~domains
             ~threads_per_domain
         in
-        let d_steps_per_sec = float_of_int d_steps /. d_seconds in
-        Printf.printf "%-8s %8d %12d %10.3f %14.3e\n%!" dpanel.p_name domains
-          d_steps d_seconds d_steps_per_sec;
-        { d_panel = dpanel.p_name;
-          d_domains = domains;
-          d_threads_per_domain = threads_per_domain;
-          d_steps;
-          d_seconds;
-          d_steps_per_sec })
+        { Record.table = "domains";
+          labels =
+            [ ("panel", dpanel.p_name); ("domains", string_of_int domains);
+              ("threads_per_domain", string_of_int threads_per_domain) ];
+          metrics = rate ~steps ~seconds })
       domain_counts
   in
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let json =
-      Json.Obj
-        [ ("schema", Json.Str "nvtraverse-selfperf/2");
-          ("quick", Json.Bool quick);
-          ("seed", Json.Int seed);
-          ("total_ops", Json.Int total_ops);
-          ("range", Json.Int range);
-          ("reps", Json.Int reps);
+  let rows = rows @ domain_rows in
+  Record.print rows;
+  Record.finish ?json_path
+    { bench = "selfperf";
+      scale = (if quick then "quick" else "full");
+      seed = Some seed;
+      config =
+        [ ("total_ops", Int total_ops);
+          ("range", Int range);
+          ("reps", Int reps);
           ( "panels",
-            Json.List
+            List
               (List.map
                  (fun (p : panel) ->
-                   Json.Obj
-                     [ ("panel", Json.Str p.p_name);
-                       ("structure", Json.Str p.p_structure);
-                       ("policy", Json.Str "nvt");
-                       ("update_pct", Json.Int p.p_update_pct);
-                       ("eviction", Json.Float p.p_eviction) ])
-                 panels) );
-          ( "rows",
-            Json.List
-              (List.map
-                 (fun r ->
-                   Json.Obj
-                     [ ("panel", Json.Str r.panel);
-                       ("threads", Json.Int r.threads);
-                       ("steps", Json.Int r.steps);
-                       ("seconds", Json.Float r.seconds);
-                       ("steps_per_sec", Json.Float r.steps_per_sec) ])
-                 rows) );
-          ( "domain_rows",
-            Json.List
-              (List.map
-                 (fun r ->
-                   Json.Obj
-                     [ ("panel", Json.Str r.d_panel);
-                       ("domains", Json.Int r.d_domains);
-                       ( "threads_per_domain",
-                         Json.Int r.d_threads_per_domain );
-                       ("steps", Json.Int r.d_steps);
-                       ("seconds", Json.Float r.d_seconds);
-                       ("steps_per_sec", Json.Float r.d_steps_per_sec) ])
-                 domain_rows) ) ]
-    in
-    Json.write_file path json;
-    Printf.printf "wrote %s\n%!" path)
+                   Nvt_harness.Json.Obj
+                     [ ("panel", Str p.p_name);
+                       ("structure", Str p.p_structure);
+                       ("policy", Str "nvt");
+                       ("update_pct", Int p.p_update_pct);
+                       ("eviction", Float p.p_eviction) ])
+                 panels) ) ];
+      rows }

@@ -15,36 +15,29 @@
 
 module Runner = Nvt_service.Runner
 module Service = Nvt_service.Service
-module Stats = Nvt_nvm.Stats
-module Json = Nvt_harness.Json
+module Record = Nvt_harness.Record
 
-let svc_site_fences (r : Runner.report) =
-  List.fold_left
-    (fun acc (name, s) ->
-      if String.length name >= 4 && String.sub name 0 4 = "svc:" then
-        acc + s.Stats.s_fences
-      else acc)
-    0
-    (Stats.sites r.stats)
+(* The hash/nvt service workload this bench, the optimizer bench and
+   the contender bench share: just under capacity, since saturating
+   the shards would measure queue growth, not the acknowledgement
+   protocol. *)
+let base ~seed ~requests =
+  { Runner.default_config with
+    seed;
+    requests;
+    structure = "hash";
+    flavour = "nvt";
+    shards = 4;
+    clients = 16;
+    mean_gap = 600;
+    skew = 0.99;
+    update_pct = 50;
+    key_range = 512;
+    watchdog = 40_000_000 }
 
-let run ?json_path ?(quick = false) ?(seed = 1) () =
+let run ?json_path ~quick ~seed () =
   let requests = if quick then 600 else 4000 in
-  let base =
-    { Runner.default_config with
-      seed;
-      requests;
-      structure = "hash";
-      flavour = "nvt";
-      shards = 4;
-      clients = 16;
-      (* just under capacity: saturating the shards would measure queue
-         growth, not the acknowledgement protocol *)
-      mean_gap = 600;
-      skew = 0.99;
-      update_pct = 50;
-      key_range = 512;
-      watchdog = 40_000_000 }
-  in
+  let base = base ~seed ~requests in
   let modes =
     if quick then [ Service.Per_op; Service.Group { batch = 16; timeout = 4000 } ]
     else
@@ -55,68 +48,56 @@ let run ?json_path ?(quick = false) ?(seed = 1) () =
   in
   Printf.printf
     "service group-persistence bench (%s): %d requests, %s/%s, %d shards, \
-     zipf(%.2f)\n\
-     %-8s %8s %8s %8s %10s %10s %10s %9s\n"
+     zipf(%.2f)\n%!"
     (if quick then "quick" else "full")
-    requests base.structure base.flavour base.shards base.skew "mode" "p50"
-    "p95" "p99" "fences/op" "flush/op" "svc fences" "violations";
+    requests base.structure base.flavour base.shards base.skew;
+  let g = Record.gate () in
   let reports =
     List.map
       (fun mode ->
         let r = Runner.run { base with mode } in
-        Printf.printf "%-8s %8d %8d %8d %10.3f %10.3f %10d %9d\n%!"
-          (Service.mode_name mode) r.latency.p50 r.latency.p95 r.latency.p99
-          (Runner.fences_per_op r) (Runner.flushes_per_op r)
-          (svc_site_fences r)
-          (List.length r.violations);
-        List.iter (fun v -> Printf.printf "    VIOLATION: %s\n" v) r.violations;
+        List.iter
+          (Record.fail g "%s: %s" (Service.mode_name mode))
+          r.violations;
         r)
       modes
   in
-  let per_op, grouped =
-    match reports with
-    | p :: g -> (p, g)
-    | [] -> assert false
+  (* per mode, the run's metrics and where its flushes and fences came
+     from *)
+  let rows =
+    List.concat_map
+      (fun (r : Runner.report) ->
+        let labels = [ ("mode", Service.mode_name r.config.mode) ] in
+        { Record.table = "runs"; labels; metrics = Runner.metrics r }
+        :: Record.site_rows ~table:"sites" ~labels r.stats)
+      reports
   in
-  let ok = ref true in
+  Record.print
+    ~columns:
+      [ ("runs", [ "ack_p50"; "ack_p99"; "fences_per_op"; "flushes_per_op" ]) ]
+    rows;
+  let per_op = List.hd reports in
   List.iter
     (fun (r : Runner.report) ->
-      if r.violations <> [] then begin
-        Printf.printf "FAIL: %s has violations\n"
-          (Service.mode_name r.config.mode);
-        ok := false
-      end)
-    reports;
-  List.iter
-    (fun (g : Runner.report) ->
-      if Runner.fences_per_op g >= Runner.fences_per_op per_op then begin
-        Printf.printf
-          "FAIL: %s fences/op %.3f not below per-op %.3f — group \
-           persistence saved nothing\n"
-          (Service.mode_name g.config.mode)
-          (Runner.fences_per_op g) (Runner.fences_per_op per_op);
-        ok := false
-      end)
-    grouped;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let json =
-      Json.Obj
-        [ ("schema", Json.Str "nvtraverse-service/1");
-          ("quick", Json.Bool quick);
-          ("seed", Json.Int seed);
-          ("structure", Json.Str base.structure);
-          ("policy", Json.Str base.flavour);
-          ("shards", Json.Int base.shards);
-          ("clients", Json.Int base.clients);
-          ("requests", Json.Int requests);
-          ("mean_gap", Json.Int base.mean_gap);
-          ("skew", Json.Float base.skew);
-          ("update_pct", Json.Int base.update_pct);
-          ("key_range", Json.Int base.key_range);
-          ("modes", Json.List (List.map Runner.mode_json reports)) ]
-    in
-    Json.write_file path json;
-    Printf.printf "wrote %s\n%!" path);
-  if not !ok then exit 1
+      Record.check g
+        (Runner.fences_per_op r < Runner.fences_per_op per_op)
+        "%s fences/op %.3f not below per-op %.3f — group persistence saved \
+         nothing"
+        (Service.mode_name r.config.mode)
+        (Runner.fences_per_op r) (Runner.fences_per_op per_op))
+    (List.tl reports);
+  Record.finish ?json_path ~gate:g
+    { bench = "service";
+      scale = (if quick then "quick" else "full");
+      seed = Some seed;
+      config =
+        [ ("structure", Str base.structure);
+          ("policy", Str base.flavour);
+          ("shards", Int base.shards);
+          ("clients", Int base.clients);
+          ("requests", Int requests);
+          ("mean_gap", Int base.mean_gap);
+          ("skew", Float base.skew);
+          ("update_pct", Int base.update_pct);
+          ("key_range", Int base.key_range) ];
+      rows }

@@ -99,8 +99,8 @@ let optimize_arg =
     & info [ "optimize" ] ~docv:"REPORT"
         ~doc:
           "Run under the proof-gated persistence optimizer: derive each \
-           structure x policy elision plan from $(docv) (a committed \
-           nvtraverse-mutation/2 report; plain $(b,--optimize) reads \
+           structure x policy elision plan from $(docv) (an \
+           nvtraverse-mutation/2 report as $(b,nvtsim mutate) writes it; plain $(b,--optimize) reads \
            $(b,MUTATION_report.json)) and enable deferred boundary \
            persistence. Only sites the report marks candidate-redundant \
            are ever elided.")

@@ -13,7 +13,6 @@
 
 module Machine = Nvt_sim.Machine
 module Cost_model = Nvt_nvm.Cost_model
-module Stats = Nvt_nvm.Stats
 module Workload = Nvt_workload.Workload
 open Instances
 
@@ -67,19 +66,19 @@ let run_recovery () =
   Printf.printf
     "\n# Extension: recovery virtual time vs structure size (crash under \
      4-thread 100%%-update traffic)\n";
-  Printf.printf "%-8s" "size";
-  List.iter (fun (n, _) -> Printf.printf " %12s" n) structures;
-  print_newline ();
-  List.iter
-    (fun size ->
-      Printf.printf "%-8d" size;
-      List.iter
-        (fun (_, s) ->
-          Instances.hash_buckets := max 16 size;
-          Printf.printf " %12d" (recovery_time s ~size ~seed:3))
-        structures;
-      print_newline ())
-    [ 256; 1024; 4096; 16384 ];
+  Record.print
+    (List.map
+       (fun size ->
+         { Record.table = "recovery vt";
+           labels = [ ("size", string_of_int size) ];
+           metrics =
+             List.map
+               (fun (name, s) ->
+                 Instances.hash_buckets := max 16 size;
+                 Record.sim ~unit:"vt" name
+                   (float_of_int (recovery_time s ~size ~seed:3)))
+               structures })
+       [ 256; 1024; 4096; 16384 ]);
   Printf.printf
     "(the skiplist pays its tower rebuild; the others walk the core \
      trimming marks)\n%!"
@@ -90,25 +89,26 @@ let run_sensitivity () =
   Printf.printf
     "\n# Extension: throughput vs fence cost (list, 16 threads, 512 of \
      1024 keys, 80%% lookups)\n";
-  Printf.printf "%-10s %12s %12s %12s %14s\n" "fence" "orig" "nvt" "izr"
-    "nvt/izr";
-  List.iter
-    (fun fence_base ->
-      let cost = { Cost_model.nvram with fence_base } in
-      let p =
-        { Throughput.threads = 16; range = 1024; mix = Workload.default;
-          total_ops = 2000 }
-      in
-      let run set scale =
-        Throughput.run set ~cost ~seed:1
-          { p with total_ops = int_of_float (2000. *. scale) }
-      in
-      let orig = run (module Hl.Volatile : SET) 1.0 in
-      let nvt = run (module Hl.Durable : SET) 1.0 in
-      let izr = run (module Hl.Izraelevitz : SET) 0.1 in
-      Printf.printf "%-10d %12.3f %12.3f %12.3f %14.1f\n" fence_base
-        orig.mops nvt.mops izr.mops (nvt.mops /. izr.mops))
-    [ 0; 25; 50; 100; 200; 400 ];
+  Record.print
+    (List.map
+       (fun fence_base ->
+         let cost = { Cost_model.nvram with fence_base } in
+         let run set scale =
+           (Throughput.run set ~cost ~seed:1
+              { Throughput.threads = 16; range = 1024; mix = Workload.default;
+                total_ops = int_of_float (2000. *. scale) })
+             .mops
+         in
+         let orig = run (module Hl.Volatile : SET) 1.0 in
+         let nvt = run (module Hl.Durable : SET) 1.0 in
+         let izr = run (module Hl.Izraelevitz : SET) 0.1 in
+         let mops name v = Record.sim ~unit:"Mops/s" name v in
+         { Record.table = "Mops/s vs fence cost";
+           labels = [ ("fence", string_of_int fence_base) ];
+           metrics =
+             [ mops "orig" orig; mops "nvt" nvt; mops "izr" izr;
+               Record.sim ~unit:"ratio" "nvt/izr" (nvt /. izr) ] })
+       [ 0; 25; 50; 100; 200; 400 ]);
   Printf.printf
     "(the transformation's margin over Izraelevitz et al. grows with the \
      fence cost; the volatile version is unaffected)\n%!"
@@ -118,39 +118,35 @@ let run_sensitivity () =
 let run_mix () =
   Printf.printf
     "\n# Extension: flushes/op and fences/op, 16 threads, 20%% updates\n";
-  Printf.printf "%-12s" "structure";
-  List.iter (fun (f : flavour) -> Printf.printf " %18s" f.label) flavours;
-  print_newline ();
-  let row name key range buckets ?(izr_scale = 0.5)
-      (module Str : Instances.STRUCTURE) =
-    Printf.printf "%-12s" name;
-    List.iter
-      (fun (f : flavour) ->
-        if not (supports f key) then Printf.printf " %8s / %7s" "-" "-"
-        else begin
-          (match buckets with
-          | Some b -> Instances.hash_buckets := b
-          | None -> ());
-          let scale =
-            if f.key = "izraelevitz" then izr_scale else f.ops_scale
-          in
-          let r =
-            Throughput.run
-              (instantiate_flavour f key (module Str))
-              ~cost:Cost_model.nvram ~seed:2
-              { Throughput.threads = 16; range;
-                mix = Workload.updates ~pct:20;
-                total_ops = int_of_float (4000. *. scale) }
-          in
-          Printf.printf " %8.1f / %7.1f" r.flushes_per_op r.fences_per_op
-        end)
-      flavours;
-    print_newline ()
+  let run (f : flavour) key range scale (module Str : Instances.STRUCTURE) =
+    Throughput.run
+      (instantiate_flavour f key (module Str))
+      ~cost:Cost_model.nvram ~seed:2
+      { Throughput.threads = 16; range; mix = Workload.updates ~pct:20;
+        total_ops = int_of_float (4000. *. scale) }
   in
-  row "list" "list" 512 None ~izr_scale:0.1 (module Nvt_structures.Harris_list);
-  row "hash" "hash" 8192 (Some 4096) (module Instances.Hash_sized);
-  row "bst(nm)" "bst-nm" 8192 None (module Nvt_structures.Natarajan_bst);
-  row "skiplist" "skiplist" 8192 None (module Nvt_structures.Skiplist);
+  let rows name key range buckets ?(izr_scale = 0.5) structure =
+    List.filter_map
+      (fun (f : flavour) ->
+        if not (supports f key) then None
+        else begin
+          Option.iter (fun b -> Instances.hash_buckets := b) buckets;
+          let scale = if f.key = "izraelevitz" then izr_scale else f.ops_scale in
+          let r = run f key range scale structure in
+          Some
+            { Record.table = "flushes/op and fences/op";
+              labels = [ ("structure", name); ("policy", f.label) ];
+              metrics =
+                [ Record.sim ~unit:"count/op" "flushes_per_op" r.flushes_per_op;
+                  Record.sim ~unit:"count/op" "fences_per_op" r.fences_per_op ] }
+        end)
+      flavours
+  in
+  Record.print
+    (rows "list" "list" 512 None ~izr_scale:0.1 (module Nvt_structures.Harris_list)
+    @ rows "hash" "hash" 8192 (Some 4096) (module Instances.Hash_sized)
+    @ rows "bst(nm)" "bst-nm" 8192 None (module Nvt_structures.Natarajan_bst)
+    @ rows "skiplist" "skiplist" 8192 None (module Nvt_structures.Skiplist));
   Printf.printf
     "(NVTraverse's counts are constant per operation; Izraelevitz et \
      al.'s grow with the traversal; link-and-persist trades flushes for \
@@ -158,26 +154,14 @@ let run_mix () =
   (* Where the instructions come from: the per-site attribution table
      for the list under each durable policy. Sites follow the
      <policy>:<point> convention documented in EXPERIMENTS.md. *)
-  Printf.printf "\n## attribution (list, per instrumentation site)\n";
-  List.iter
-    (fun (f : flavour) ->
-      let scale = if f.key = "izraelevitz" then 0.1 else f.ops_scale in
-      let r =
-        Throughput.run
-          (instantiate_flavour f "list" (module Nvt_structures.Harris_list))
-          ~cost:Cost_model.nvram ~seed:2
-          { Throughput.threads = 16; range = 512;
-            mix = Workload.updates ~pct:20;
-            total_ops = int_of_float (4000. *. scale) }
-      in
-      Printf.printf "%s:\n" f.key;
-      List.iter
-        (fun (site, { Stats.s_flushes; s_fences; s_cas }) ->
-          Printf.printf "  %-22s %7d flush %7d fence %7d cas\n" site s_flushes
-            s_fences s_cas)
-        (Stats.sites r.Throughput.stats))
-    durable_flavours;
-  Printf.printf "%!"
+  Record.print
+    (List.concat_map
+       (fun (f : flavour) ->
+         let scale = if f.key = "izraelevitz" then 0.1 else f.ops_scale in
+         let r = run f "list" 512 scale (module Nvt_structures.Harris_list) in
+         Record.site_rows ~table:"attribution (list, per instrumentation site)"
+           ~labels:[ ("policy", f.key) ] r.stats)
+       durable_flavours)
 
 let run = function
   | "recovery" -> run_recovery ()

@@ -294,17 +294,9 @@ module Onefile_set = Nvt_baselines.Onefile.Set (Sim_mem)
 (* Panel series                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type series = {
-  label : string;
-  set : (module SET);
-  ops_scale : float;
-  policy : string option;
-      (* registry key of the flavour behind the series, when there is
-         one; [None] for baselines with built-in persistence (OneFile).
-         The JSON emitter uses it to group series across panels. *)
-}
+type series = { label : string; set : (module SET); ops_scale : float }
 
-let s ?(ops_scale = 1.0) ?policy label set = { label; set; ops_scale; policy }
+let s ?(ops_scale = 1.0) label set = { label; set; ops_scale }
 
 (* One series per registry flavour for a structure, in registry order;
    [key] is the structure's registry key (flavours resolve their
@@ -320,8 +312,7 @@ let flavour_series ?(suffix = "") ?(scale = fun _ -> None)
         Some
           { label = f.label ^ suffix;
             set = instantiate_flavour f key (module Str);
-            ops_scale = Option.value (scale f.key) ~default:f.ops_scale;
-            policy = Some f.key })
+            ops_scale = Option.value (scale f.key) ~default:f.ops_scale })
     flavours
 
 let izr_scale v k = if k = "izraelevitz" then Some v else None
@@ -351,7 +342,7 @@ let bst_series ~with_onefile ~with_lp =
   | orig :: rest ->
     (* the second NVTraverse BST of Fig 5e/6m, slotted after the
        volatile baseline *)
-    orig :: s ~policy:"nvt" "nvt(ellen)" (module Eb.Durable : SET) :: rest
+    orig :: s "nvt(ellen)" (module Eb.Durable : SET) :: rest
   | [] -> [])
   @
   (* the PTM set is a sorted list, so on tree-sized key ranges each of

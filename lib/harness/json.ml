@@ -1,13 +1,15 @@
-(* A minimal JSON emitter for the benchmark harness.
+(* A minimal JSON emitter and parser for the benchmark harness.
 
-   The repository deliberately has no JSON dependency; the machine-
-   readable telemetry ([BENCH_panels.json], [BENCH_micro.json]) only
-   needs *emission*, and only of the handful of shapes below, so a small
-   constructor set plus a correct string escaper is the whole surface.
-   The output is stable: object fields print in the order given, floats
-   print with [%.6g], and non-finite floats (a degenerate regression,
-   a zero-op series) become [null] so every consumer can parse the file
-   with a strict JSON parser. *)
+   The repository deliberately has no JSON dependency. Everything it
+   writes — the bench record artifacts ([Record], BENCH_*.json), the
+   mutation reports and perfbench's record lines — is built from the
+   small constructor set below, and everything it reads back (the
+   mutation report the optimizer's plans come from, bench artifacts
+   and the committed baseline for [bench/main.exe diff]) goes through
+   the strict parser further down. The output is stable: object fields
+   print in the order given, floats print with [%.6g], and non-finite
+   floats (a degenerate regression, a zero-op series) become [null] so
+   every consumer can parse the file with a strict JSON parser. *)
 
 type t =
   | Null
@@ -267,7 +269,7 @@ let write_file path v =
       output_char oc '\n')
 
 (* The per-site attribution table of a stats delta, heaviest site
-   first — shared by the panels and crashlab emitters. *)
+   first, as the mutation report carries it. *)
 let sites (st : Nvt_nvm.Stats.t) =
   List
     (List.map

@@ -553,14 +553,16 @@ let mutual_cover_groups : (string * string option * string list) list =
       [ "nvt:crit_read"; "nvt:make_persistent" ] ) ]
 
 (* ------------------------------------------------------------------ *)
-(* Elision plans from a committed report                                *)
+(* Elision plans from a mutation report                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The optimizer's elision lists are DERIVED from a committed
-   [MUTATION_report.json], never hand-written: the machine-readable
-   [candidate_redundant] array (schema /2) is the single source, and
-   the mutual-cover rule above drops all but the first member of any
-   group whose sites would otherwise be elided together. *)
+(* The optimizer's elision lists are DERIVED from a mutation report —
+   the gitignored [MUTATION_report.json] that [nvtsim mutate] writes
+   (CI's quick battery regenerates it every run) — never hand-written:
+   the machine-readable [candidate_redundant] array (schema /2) is the
+   single source, and the mutual-cover rule above drops all but the
+   first member of any group whose sites would otherwise be elided
+   together. *)
 
 let schema_name = "nvtraverse-mutation/2"
 

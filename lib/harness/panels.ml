@@ -228,140 +228,82 @@ let params_for panel point =
   in
   { Throughput.threads; range; mix; total_ops = panel.base_ops }
 
-let point_value = function `Threads n | `Range n | `Updates n -> n
-
-(* Runs one panel, printing the human-readable table as before, and
-   returns the panel's telemetry as a JSON object: per-series sweep
-   points (throughput plus the flush/fence mix at every point, not just
-   the last), the series' aggregate counters, and the per-site
-   attribution table that explains where the flushes and fences come
-   from. *)
+(* Runs one panel: one row per (series, sweep point) with throughput
+   and the flush/fence mix at that point, then per series the site
+   attribution accumulated over the sweep — where its flushes and
+   fences come from — and its totals. *)
 let run_panel ?(seed = 1) (panel : panel) =
-  Printf.printf "\n# Fig %s — %s\n" panel.id panel.title;
-  Printf.printf "%-8s" (sweep_label panel.sweep);
-  List.iter (fun s -> Printf.printf " %12s" s.label) panel.series;
-  print_newline ();
-  let mix_totals = Hashtbl.create 8 in
-  (* per-series accumulators, in panel.series order *)
-  let points = Hashtbl.create 8 in
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun (label, point) ->
-      Printf.printf "%-8s" label;
-      List.iter
-        (fun series ->
-          let p = params_for panel point in
-          if panel.hash_sized then
-            Instances.hash_buckets := max 16 (p.range / 2);
-          let p =
-            { p with
-              Throughput.total_ops =
-                max p.Throughput.threads
-                  (int_of_float
-                     (float_of_int p.Throughput.total_ops *. series.ops_scale))
-            }
-          in
-          let r = Throughput.run series.set ~cost:panel.cost ~seed p in
-          Hashtbl.replace mix_totals series.label
-            (r.flushes_per_op, r.fences_per_op);
-          Hashtbl.replace points series.label
-            ((point_value point, r)
-            :: Option.value (Hashtbl.find_opt points series.label) ~default:[]);
-          let acc =
-            match Hashtbl.find_opt totals series.label with
-            | Some acc -> acc
-            | None ->
-              let acc = Nvt_nvm.Stats.zero () in
-              Hashtbl.add totals series.label acc;
-              acc
-          in
-          Nvt_nvm.Stats.accumulate ~into:acc r.Throughput.stats;
-          Printf.printf " %12.3f" r.mops)
-        panel.series;
-      print_newline ())
-    (sweep_points panel.sweep);
-  Printf.printf "(flushes/op, fences/op at last point:";
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt mix_totals s.label with
-      | Some (fl, fe) -> Printf.printf " %s=%.1f/%.1f" s.label fl fe
-      | None -> ())
-    panel.series;
-  Printf.printf ")\n%!";
-  let series_json (s : series) =
-    let pts = List.rev (Option.value (Hashtbl.find_opt points s.label) ~default:[]) in
-    let st =
-      match Hashtbl.find_opt totals s.label with
-      | Some st -> st
-      | None -> Nvt_nvm.Stats.zero ()
-    in
-    let durable =
-      match s.policy with
-      | None -> Json.Null
-      | Some key -> (
-        match Instances.flavour key with
-        | None -> Json.Null
-        | Some f ->
-          let (module Pol : Instances.POLICY) = f.policy in
-          Json.Bool Pol.durable)
-    in
-    Json.Obj
-      [ ("label", Json.Str s.label);
-        ("policy",
-         match s.policy with None -> Json.Null | Some k -> Json.Str k);
-        ("durable", durable);
-        ("points",
-         Json.List
-           (List.map
-              (fun (x, (r : Throughput.result)) ->
-                Json.Obj
-                  [ ("x", Json.Int x);
-                    ("mops", Json.Float r.mops);
-                    ("flushes_per_op", Json.Float r.flushes_per_op);
-                    ("fences_per_op", Json.Float r.fences_per_op);
-                    ("cas_failure_rate", Json.Float r.cas_failure_rate);
-                    ("ops", Json.Int r.ops);
-                    ("makespan", Json.Int r.makespan) ])
-              pts));
-        ("totals",
-         Json.Obj
-           [ ("flushes", Json.Int st.Nvt_nvm.Stats.flushes);
-             ("fences", Json.Int st.fences);
-             ("cas", Json.Int st.cas);
-             ("cas_failures", Json.Int st.cas_failures) ]);
-        ("sites", Json.sites st) ]
+  Printf.printf "\n# Fig %s — %s\n%!" panel.id panel.title;
+  let axis = sweep_label panel.sweep in
+  let totals = List.map (fun _ -> Nvt_nvm.Stats.zero ()) panel.series in
+  let points =
+    List.concat_map
+      (fun (x, point) ->
+        List.map2
+          (fun (series : series) into ->
+            let p = params_for panel point in
+            if panel.hash_sized then
+              Instances.hash_buckets := max 16 (p.range / 2);
+            let p =
+              { p with
+                Throughput.total_ops =
+                  max p.Throughput.threads
+                    (int_of_float
+                       (float_of_int p.Throughput.total_ops *. series.ops_scale))
+              }
+            in
+            let r = Throughput.run series.set ~cost:panel.cost ~seed p in
+            Nvt_nvm.Stats.accumulate ~into r.stats;
+            { Record.table = panel.id;
+              labels = [ ("series", series.label); (axis, x) ];
+              metrics =
+                [ Record.sim ~unit:"Mops/s" "mops" r.mops;
+                  Record.sim ~unit:"count/op" "flushes_per_op" r.flushes_per_op;
+                  Record.sim ~unit:"count/op" "fences_per_op" r.fences_per_op;
+                  Record.sim ~unit:"ratio" "cas_failure_rate" r.cas_failure_rate;
+                  Record.count "ops" r.ops;
+                  Record.sim ~unit:"vt" "makespan" (float_of_int r.makespan) ] })
+          panel.series totals)
+      (sweep_points panel.sweep)
   in
-  Json.Obj
-    [ ("id", Json.Str panel.id);
-      ("title", Json.Str panel.title);
-      ("sweep", Json.Str (sweep_label panel.sweep));
-      ("series", Json.List (List.map series_json panel.series)) ]
+  let table = panel.id ^ " sites" in
+  let sites =
+    List.concat
+      (List.map2
+         (fun (series : series) (st : Nvt_nvm.Stats.t) ->
+           let labels = [ ("series", series.label) ] in
+           Record.site_rows ~table ~labels st
+           @ [ { Record.table;
+                 labels = labels @ [ ("site", "total") ];
+                 metrics =
+                   [ Record.count "flushes" st.flushes;
+                     Record.count "fences" st.fences;
+                     Record.count "cas" st.cas;
+                     Record.count "cas_failures" st.cas_failures ] } ])
+         panel.series totals)
+  in
+  let rows = points @ sites in
+  Record.print rows;
+  rows
 
 let all_ids scale = List.map (fun p -> p.id) (panels scale)
 
-let run ?seed ?json_path ~scale ids =
+(* The chosen panels' rows, in the order asked (all panels when [ids]
+   is empty). An unknown id raises [Invalid_argument] before any panel
+   runs. *)
+let run ?seed ~scale ids =
   let available = panels scale in
   let chosen =
     if ids = [] then available
     else
-      List.filter_map
+      List.map
         (fun id ->
           match List.find_opt (fun p -> p.id = id) available with
-          | Some p -> Some p
+          | Some p -> p
           | None ->
-            Printf.eprintf "unknown panel %s\n" id;
-            None)
+            invalid_arg
+              (Printf.sprintf "unknown panel %s (known: %s)" id
+                 (String.concat " " (all_ids scale))))
         ids
   in
-  let panel_objs = List.map (run_panel ?seed) chosen in
-  match json_path with
-  | None -> ()
-  | Some path ->
-    Json.write_file path
-      (Json.Obj
-         [ ("schema", Json.Str "nvtraverse-panels/1");
-           ("scale",
-            Json.Str (match scale with Quick -> "quick" | Full -> "full"));
-           ("seed", Json.Int (Option.value seed ~default:1));
-           ("panels", Json.List panel_objs) ]);
-    Printf.printf "wrote %s\n%!" path
+  List.concat_map (run_panel ?seed) chosen

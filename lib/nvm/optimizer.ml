@@ -5,8 +5,9 @@
    named site ({!Stats}) and the mutation lab classifies each site as
    necessary or candidate-redundant ({!Suppress} is its knife). This
    module closes the loop: a {e plan} names the sites that may be
-   elided for the running structure x policy — derived from a committed
-   [MUTATION_report.json], never hand-written — and turns on deferred
+   elided for the running structure x policy — derived from a mutation
+   report such as the [MUTATION_report.json] [nvtsim mutate] writes,
+   never hand-written — and turns on deferred
    boundary persistence. The guarded primitive [Persist.Make(M).Sited]
    consults {!flush_elided}/{!fence_elided} right after the suppression
    check and skips the instruction when its site is in the plan.

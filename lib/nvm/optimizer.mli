@@ -1,8 +1,9 @@
 (** Proof-gated persistence optimization.
 
     A {!plan} names the flush/fence sites that may be skipped for the
-    running structure x policy (derived from a committed mutation
-    report's candidate-redundant verdicts, never hand-written) and
+    running structure x policy (derived from the candidate-redundant
+    verdicts of a mutation report [nvtsim mutate] wrote, never
+    hand-written) and
     switches on deferred boundary persistence. Elision is checked in
     one place, {!Persist.Make.Sited} — the guarded primitive every
     attributed flush and fence goes through, engine, policy wrappers

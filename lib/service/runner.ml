@@ -1001,45 +1001,43 @@ let pp_report ppf r =
     List.iter (fun v -> Format.fprintf ppf "    %s@," v) vs);
   Format.fprintf ppf "@]"
 
-let mode_json (r : report) : Nvt_harness.Json.t =
-  let open Nvt_harness.Json in
-  Obj
-    [ ("mode", Str (Service.mode_name r.config.mode));
-      ("acked", Int r.acked);
-      ("applies", Int r.applies);
-      ("resent", Int r.resent);
-      ("multi_puts", Int r.multi_puts);
-      ("rmws", Int r.rmws);
-      ("dedup_acks", Int r.dedup_acks);
-      ("audit_acks", Int r.audit_acks);
-      ("crashes_requested", Int r.crashes_requested);
-      ("crashes_fired", Int r.crashes_fired);
-      ("recovery_crashes_requested", Int r.recovery_crashes_requested);
-      ("recovery_crashes_fired", Int r.recovery_crashes_fired);
-      ("checkpoints", Int r.checkpoints);
-      ("truncated", Int r.truncated);
-      ("replayed", Int r.replayed);
-      ("recovery_steps", Int r.recovery_steps);
-      ("recovery_time", Int r.recovery_time);
-      ("eras", Int r.eras);
-      ("steps", Int r.steps);
-      ("makespan", Int r.makespan);
-      ("committed", Int r.committed);
-      ( "latency",
-        Obj
-          [ ("p50", Int r.latency.p50);
-            ("p95", Int r.latency.p95);
-            ("p99", Int r.latency.p99);
-            ("max", Int r.latency.lmax);
-            ("mean", Float r.latency.mean) ] );
-      ("fences_per_op", Float (fences_per_op r));
-      ("flushes_per_op", Float (flushes_per_op r));
-      ( "totals",
-        Obj
-          [ ("flushes", Int r.stats.Stats.flushes);
-            ("fences", Int r.stats.Stats.fences);
-            ("cas", Int r.stats.Stats.cas);
-            ("reads", Int r.stats.Stats.reads);
-            ("writes", Int r.stats.Stats.writes) ] );
-      ("sites", Nvt_harness.Json.sites r.stats);
-      ("violations", List (List.map (fun v -> Str v) r.violations)) ]
+(* The report's numbers as bench metrics: every one is simulated, so a
+   seed repeats them exactly. The per-site table is
+   [Nvt_harness.Record.site_rows] of [r.stats]. *)
+let metrics (r : report) : (string * Nvt_harness.Record.metric) list =
+  let open Nvt_harness.Record in
+  let vt name v = sim ~unit:"vt" name (float_of_int v) in
+  let per_op name v = sim ~unit:"count/op" name v in
+  [ count "acked" r.acked;
+    count "applies" r.applies;
+    count "resent" r.resent;
+    count "multi_puts" r.multi_puts;
+    count "rmws" r.rmws;
+    count "dedup_acks" r.dedup_acks;
+    count "audit_acks" r.audit_acks;
+    count "crashes_requested" r.crashes_requested;
+    count "crashes_fired" r.crashes_fired;
+    count "recovery_crashes_requested" r.recovery_crashes_requested;
+    count "recovery_crashes_fired" r.recovery_crashes_fired;
+    count "checkpoints" r.checkpoints;
+    count "truncated" r.truncated;
+    count "replayed" r.replayed;
+    count "recovery_steps" r.recovery_steps;
+    vt "recovery_time" r.recovery_time;
+    count "eras" r.eras;
+    count "steps" r.steps;
+    vt "makespan" r.makespan;
+    count "committed" r.committed;
+    count "live_keys" r.live_keys;
+    vt "ack_p50" r.latency.p50;
+    vt "ack_p95" r.latency.p95;
+    vt "ack_p99" r.latency.p99;
+    vt "ack_max" r.latency.lmax;
+    sim ~unit:"vt" "ack_mean" r.latency.mean;
+    per_op "fences_per_op" (fences_per_op r);
+    per_op "flushes_per_op" (flushes_per_op r);
+    count "flushes" r.stats.Stats.flushes;
+    count "fences" r.stats.Stats.fences;
+    count "cas" r.stats.Stats.cas;
+    count "reads" r.stats.Stats.reads;
+    count "writes" r.stats.Stats.writes ]

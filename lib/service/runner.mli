@@ -1,7 +1,7 @@
 (** Open-loop load harness and crash laboratory for {!Service}: Poisson
     arrivals over sequential client sessions, crash/recover eras with
     client re-send, an exactly-once oracle, latency percentiles in
-    simulated time, and the [nvtraverse-service/1] JSON fragment.
+    simulated time, and the report's numbers as bench record metrics.
 
     The service's shards are striped over [domains] groups, each a
     {!Service} slice on its own {!Nvt_sim.Machine} running on its own
@@ -118,5 +118,6 @@ val fences_per_op : report -> float
 val flushes_per_op : report -> float
 val pp_report : Format.formatter -> report -> unit
 
-val mode_json : report -> Nvt_harness.Json.t
-(** The per-mode object of the [nvtraverse-service/1] schema. *)
+val metrics : report -> (string * Nvt_harness.Record.metric) list
+(** The report's numbers as bench metrics (all simulated); the
+    per-site table is [Nvt_harness.Record.site_rows] of [stats]. *)

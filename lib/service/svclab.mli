@@ -19,7 +19,7 @@ val run :
   Nvt_harness.Mutlab.flavour_report list
 (** Run the battery for every [(structure, policy)] combo in the
     scale's [service] list (restricted to [policies] when non-empty).
-    [optimize] is a committed mutation report: each combo then runs
+    [optimize] is a mutation report ([nvtsim mutate]'s output): each combo then runs
     under the optimizer plan {!Nvt_harness.Mutlab.plan_of_report}
     derives for its {e store}'s structure x policy — svc commit sites
     are proven necessary and never planned — so the battery doubles as

@@ -18,7 +18,7 @@
      through ([Persist.Make(M).Sited]): its erase / suppress / elide
      order, service sites included.
 
-   Elision lists used here mirror the committed mutation report's
+   Elision lists used here mirror the quick mutation report's
    allowlisted candidate-redundant verdicts (nvt:crit_read under nvt;
    the critical/return fences under lp); the substantive durability
    proof for shipped plans is `nvtsim mutate --optimize` in CI, not

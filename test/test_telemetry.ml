@@ -1,6 +1,7 @@
 (* The observability layer: per-site flush/fence/CAS attribution, the
    bounded machine event trace, the crashlab crash-coverage counters,
-   and the JSON emitter behind [BENCH_*.json].
+   the JSON emitter behind [BENCH_*.json], and the bench record format's
+   baseline diff.
 
    The load-bearing invariant is conservation: every counted flush,
    fence and CAS is attributed to exactly one site, so the site table
@@ -11,6 +12,8 @@
 module I = Nvt_harness.Instances
 module T = Nvt_harness.Throughput
 module Json = Nvt_harness.Json
+module Record = Nvt_harness.Record
+module Panels = Nvt_harness.Panels
 module Crashlab = Nvt_harness.Crashlab
 module Stats = Nvt_nvm.Stats
 module Machine = Nvt_sim.Machine
@@ -354,6 +357,61 @@ let json_emitter () =
     {|[{"site":"nvt:make_persistent","flushes":1,"fences":0,"cas":0},{"site":"nvt:return_fence","flushes":0,"fences":1,"cas":0}]|}
     (Json.sites st)
 
+(* ------------------------------------------------------------------ *)
+(* Bench records                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* An unknown panel id is rejected before any panel runs, so a typo
+   can neither exit 0 nor leave an artifact of zero panels behind. *)
+let unknown_panel_is_rejected () =
+  List.iter
+    (fun ids ->
+      match Panels.run ~scale:Panels.Quick ids with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+        Alcotest.failf "panels %s accepted" (String.concat " " ids))
+    [ [ "5z" ]; [ "5z"; "5a" ]; [ "5a"; "5z" ] ]
+
+let artifact ~steps ~rate =
+  { Record.bench = "selfperf";
+    scale = "quick";
+    seed = Some 1;
+    config = [ ("range", Json.Int 256) ];
+    rows =
+      [ { table = "threads";
+          labels = [ ("panel", "list"); ("threads", "8") ];
+          metrics =
+            [ Record.count "steps" steps;
+              Record.sim ~unit:"count/op" "steps_per_op" 0.25;
+              Record.wall ~unit:"steps/s" "steps_per_s" rate ] } ] }
+
+(* The baseline diff reads the artifact back from its JSON text, fails
+   on any simulated drift and ignores host time. *)
+let baseline_diff () =
+  let baseline = [ Record.baseline_of (artifact ~steps:1000 ~rate:5e6) ] in
+  let diff a =
+    Record.diff ~baseline
+      (Record.of_json (Json.parse (Json.to_string (Record.to_json a))))
+  in
+  let check what want a =
+    Alcotest.(check bool) what want (diff a = [])
+  in
+  check "clean diff passes" true (artifact ~steps:1000 ~rate:5e6);
+  check "perturbed wall value passes" true (artifact ~steps:1000 ~rate:3e6);
+  check "perturbed sim value fails" false (artifact ~steps:1001 ~rate:5e6);
+  let a = artifact ~steps:1000 ~rate:5e6 in
+  let extra = { (List.hd a.rows) with labels = [ ("panel", "hash") ] } in
+  check "added row fails" false { a with rows = a.rows @ [ extra ] };
+  check "missing row fails" false { a with rows = [] };
+  check "other seed fails" false { a with seed = Some 2 };
+  check "dropped sim metric fails" false
+    { a with
+      rows =
+        List.map
+          (fun (r : Record.row) ->
+            { r with metrics = List.remove_assoc "steps" r.metrics })
+          a.rows }
+
 let suite =
   [ Alcotest.test_case "sites sum to aggregates (all policies)" `Quick
       sites_sum_to_aggregates;
@@ -373,4 +431,7 @@ let suite =
       corrupt_read_consumes_site_tag;
     Alcotest.test_case "throughput runs exactly total_ops" `Quick
       throughput_runs_exactly_total_ops;
-    Alcotest.test_case "json emitter" `Quick json_emitter ]
+    Alcotest.test_case "json emitter" `Quick json_emitter;
+    Alcotest.test_case "unknown panel id is rejected" `Quick
+      unknown_panel_is_rejected;
+    Alcotest.test_case "bench baseline diff" `Quick baseline_diff ]
