@@ -18,7 +18,7 @@
    group-committed and with durable multi-puts in the mix, reporting
    fences per acknowledged request and — for the multi-put row —
    fences per written key, the amortization a k-key batch buys by
-   committing one ledger record under one pair of fences.
+   committing one ledger record under one commit fence.
 
    Self-gates (the bench exits non-zero on any):
    - every structure pair's base and optimized histories are identical;

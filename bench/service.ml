@@ -6,7 +6,7 @@
 
    The paper's analysis says fences dominate the cost of durable
    structures; this bench shows the service-level counterpart — one
-   epoch fence pair amortized over a batch of acknowledgements — and
+   epoch fence amortized over a batch of acknowledgements — and
    its price: acknowledgement latency grows with the batching window.
 
    Every run carries the exactly-once oracle of [Nvt_service.Runner];

@@ -7,9 +7,11 @@
    mutation report the optimizer's plans come from, bench artifacts
    and the committed baseline for [bench/main.exe diff]) goes through
    the strict parser further down. The output is stable: object fields
-   print in the order given, floats print with [%.6g], and non-finite
-   floats (a degenerate regression, a zero-op series) become [null] so
-   every consumer can parse the file with a strict JSON parser. *)
+   print in the order given, floats print in the shortest of [%.15g]
+   and [%.17g] that reads back to the same float (so a baseline pins a
+   value exactly), and non-finite floats (a degenerate regression, a
+   zero-op series) become [null] so every consumer can parse the file
+   with a strict JSON parser. *)
 
 type t =
   | Null
@@ -41,7 +43,11 @@ let rec emit b = function
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f ->
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
+    if Float.is_finite f then begin
+      let s = Printf.sprintf "%.15g" f in
+      Buffer.add_string b
+        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+    end
     else Buffer.add_string b "null"
   | Str s ->
     Buffer.add_char b '"';

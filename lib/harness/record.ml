@@ -134,8 +134,8 @@ let print ?(columns = []) rows =
 
 let kind_name = function Sim -> "sim" | Wall -> "wall"
 
-(* Integral values print as JSON integers, so counts round-trip
-   exactly; other values go through the emitter's %.6g. *)
+(* Integral values print as JSON integers; other values go through the
+   emitter's shortest exact form. Either way a value round-trips. *)
 let number v = if is_count v then Json.Int (int_of_float v) else Json.Float v
 
 let row_json r =

@@ -5,8 +5,8 @@
    entries owned by the shard — written through the active policy's
    memory so the crash simulator exercises it like any other persistent
    data. Once a checkpoint covering log prefix [0, upto) is committed,
-   recovery restores the snapshot and replays only the log suffix
-   [upto, index): O(delta since checkpoint) instead of O(log).
+   recovery restores the snapshot and replays only the committed log
+   suffix from [upto]: O(delta since checkpoint) instead of O(log).
 
    Commit protocol (all on the checkpointing thread, so its fences
    cover its flushes):
@@ -17,8 +17,8 @@
      flush the descriptor                           svc:ckpt_commit_flush
      fence                                          svc:ckpt_commit_fence
 
-   The first fence is load-bearing for the same reason as the ledger's:
-   the simulator resolves a crash by coin-flipping each
+   The first fence is load-bearing: the simulator resolves a crash by
+   coin-flipping each
    flushed-but-unfenced write-back independently, so without it the
    descriptor could persist while a chunk it references is lost —
    recovery would then read a never-persisted cell (Corrupt_read). The

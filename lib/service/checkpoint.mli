@@ -30,8 +30,8 @@ module Make (M : Nvt_nvm.Memory.S) : sig
 
   val write : 'd t -> upto:int -> pairs:(int * int) array -> dedup:'d array -> unit
   (** Write and durably commit a checkpoint covering log slots
-      [\[0, upto)]. Must run on the thread that owns the shard's
-      commit index, after slots [\[0, upto)] are committed. *)
+      [\[0, upto)]. Must run on the thread that commits the shard's
+      entries, after slots [\[0, upto)] are committed. *)
 
   val read : 'd t -> (int * (int * int) array * 'd array) option
   (** The committed checkpoint, if any: [(upto, pairs, dedup)]. Also

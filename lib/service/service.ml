@@ -5,43 +5,50 @@
    and is driven by one worker thread, so per-shard execution is
    sequential and conflicts are always intra-shard.
 
-   Durability is a per-shard redo log plus a commit index, both written
-   through the active policy's memory:
+   Durability is a per-shard redo log written through the active
+   policy's memory; the entries themselves are the commit record:
 
      entries[0..]   one cell per applied request
-                    {client; seq; op; result}
-     index          one cell: the durable prefix length
+                    {client; seq; op; result; era}
+     mark           one cell: (watermark, era), written only by recovery
 
    Commit protocol (per batch, executed by the committing thread):
 
      flush every entry cell of the batch
-     fence                                  -- entries durable
-     write+flush each touched shard's index
      fence                                  -- commit point
      acknowledge the batch
 
-   Two fences are unavoidable: the simulator resolves a crash by
-   persisting each flushed-but-unfenced write-back independently, so
-   without the first fence the index could persist while an entry it
-   covers is lost. Both fences are the committing thread's own — the
-   machine's fence only completes the calling thread's write-backs,
-   which is why the group committer re-flushes the workers' entries
-   itself instead of relying on a "shared" fence.
+   The committed log is the longest run of slots, from the checkpoint
+   base, whose entries persisted and — at or past the mark's watermark
+   — carry the mark's era. Recovery derives it by reading the entries,
+   then persists (end of that run, era + 1) in the mark before the
+   shard serves again: every entry the new era writes carries the new
+   era, so a slot past the truncation point that still holds an entry
+   of an earlier era — which real memory keeps, though the simulator
+   drops the cell — can never pass for a commit of this one. The fence
+   is the committing thread's own — the machine's fence only completes
+   the calling thread's write-backs, which is why the group committer
+   re-flushes the workers' entries itself instead of relying on a
+   "shared" fence.
 
-   Because the index commits a log *prefix*, an acknowledged request is
+   Because recovery keeps a log *prefix*, an acknowledged request is
    always in the durable log, and a request can never commit while an
-   earlier conflicting request of the same shard is uncommitted.
+   earlier conflicting request of the same shard is uncommitted. An
+   entry that persisted before its commit fence (an eviction, or a
+   write-back the crash completed) may land in the prefix unacknowledged;
+   its re-send is then answered from the ledger, as after a crash that
+   hit between a commit fence and its acknowledgement.
 
    [Per_op] mode runs this protocol once per request on the worker;
    [Group] mode hands completions to a dedicated committer thread that
-   batches them (size or timeout bound) under a single pair of fences —
-   group commit, the NVRAM analogue of group-commit logging.
+   batches them (size or timeout bound) under a single fence — group
+   commit, the NVRAM analogue of group-commit logging.
 
    Checkpoints ([?checkpoint] interval on {!create}) bound recovery
-   cost: at virtual-time intervals the thread that owns a shard's
-   commit index (the worker in per-op mode, the committer in group
-   mode) snapshots the shard's committed state — a plain-OCaml model
-   mirror of the store plus every client's last record on the shard,
+   cost: at virtual-time intervals the thread that commits a shard's
+   entries (the worker in per-op mode, the committer in group mode)
+   snapshots the shard's committed state — a plain-OCaml model mirror
+   of the store plus every client's last record on the shard,
    captured in one non-preemptible stretch so the cut is consistent —
    force-commits the log up to the cut, and writes the snapshot
    through {!Checkpoint} (the svc:ckpt_ sites). After the checkpoint's
@@ -50,20 +57,22 @@
    delta since the last checkpoint, not the uptime.
 
    Recovery first recovers each shard's store through its own policy,
-   in one walk that also returns the store's contents. It then reads
-   the shard's durable index, truncates the volatile log to it
-   (dropping — and retiring — cells beyond: a crash may have left them
-   corrupt, and FliT's write instruments a read of the old value, so
-   overwriting a corrupt cell is not an option), restores the
-   checkpoint snapshot if one committed, replays only the remaining
-   committed suffix to rebuild the per-client deduplication table
-   (last committed entry wins on equal (client, seq)) and the committed
-   mirror, and reconciles the store's contents to that mirror without
-   walking the store again. Re-sent requests whose
-   record is committed are answered from the table without touching
-   the store — exactly-once acknowledgement. Because no snapshot drops
-   a client, the rebuilt table holds every client's latest commit, and
-   the same table answers the post-crash status query ({!op_status}).
+   in one walk that also returns the store's contents. It then
+   restores the checkpoint snapshot if one committed, replays the
+   committed suffix in one pass that reads each entry once — rebuilding
+   the per-client deduplication table (last committed entry wins on
+   equal (client, seq)) and the committed mirror, and stopping at the
+   first slot that is absent, reads corrupt or carries another era —
+   truncates the volatile log there (dropping — and retiring — cells
+   beyond: a crash may have left them corrupt, and FliT's write
+   instruments a read of the old value, so overwriting a corrupt cell
+   is not an option), persists the new mark, and reconciles the
+   store's contents to the mirror without walking the store again.
+   Re-sent requests whose record is committed are answered from the
+   table without touching the store — exactly-once acknowledgement.
+   Because no snapshot drops a client, the rebuilt table holds every
+   client's latest commit, and the same table answers the post-crash
+   status query ({!op_status}).
    {!spawn_recovery} runs the same per-shard recovery as simulated
    threads, so shards recover in parallel and recovery consumes
    measurable virtual time. *)
@@ -78,9 +87,8 @@ type op =
   | Get of int
   | Multi_put of (int * int) list
       (* k same-shard puts, one ledger record, one commit: the batch is
-         applied and acknowledged atomically under the standard two
-         commit fences, so durability costs a pair of fences for k keys
-         even in per-op mode *)
+         applied and acknowledged atomically under the one commit fence,
+         so durability costs one fence for k keys even in per-op mode *)
   | Rmw of int * int
       (* read-modify-write: add the delta to the key's current value
          (installing the delta when absent) and return the old value,
@@ -117,9 +125,17 @@ let mode_name = function
   | Group { batch; timeout = _ } -> Printf.sprintf "group%d" batch
 
 (* One committed-log record. Stored whole in a single cell: key, value
-   and result persist atomically with the identity, the simulator's
-   cell = cache-line granularity. *)
-type entry = { e_client : int; e_seq : int; e_op : op; e_res : result }
+   and result persist atomically with the identity and the era that
+   makes the record a commit, the simulator's cell = cache-line
+   granularity. The era is a field rather than a wrapper block around
+   the record, so it costs one word, not a second allocation. *)
+type entry = {
+  e_client : int;
+  e_seq : int;
+  e_op : op;
+  e_res : result;
+  e_era : int;
+}
 
 (* One checkpointed dedup record: the shard's last committed (seq,
    result) for a client, with the original slot so the re-send path's
@@ -153,9 +169,10 @@ type ledger = {
   append : int -> entry -> unit;  (* slot -> record *)
   flush_entry : int -> unit;
   read_entry : int -> entry;
-  write_index : int -> unit;
-  flush_index : unit -> unit;
-  read_index : unit -> int;
+  probe_entry : int -> entry option;
+      (* [None]: the slot is absent or its entry was lost in a crash *)
+  read_mark : unit -> int * int;  (* (watermark, era) *)
+  persist_mark : int -> int -> unit;  (* write, flush and fence the mark *)
   truncate : int -> unit;  (* drop cells at slots >= the argument *)
   drop_below : int -> unit;  (* drop cells at slots < the argument *)
   write_ckpt : int -> (int * int) array -> ckpt_dedup array -> unit;
@@ -167,7 +184,8 @@ type shard = {
   ledger : ledger;
   queue : request Queue.t;  (* volatile inbox; lost at a crash *)
   mutable next_slot : int;  (* volatile append cursor *)
-  mutable committed : int;  (* volatile mirror of the durable index *)
+  mutable committed : int;  (* volatile: slots below this are committed *)
+  mutable era : int;  (* the era this shard's appends carry *)
   mirror : (int, int) Hashtbl.t;
       (* plain-OCaml model of the committed-prefix replay (put = add if
          absent, del = remove), maintained in the same non-preemptible
@@ -219,20 +237,25 @@ type t = {
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Shared answers, so an update's result allocates nothing. *)
+let done_true = Done true
+let done_false = Done false
+let done_ b = if b then done_true else done_false
+
 let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
   let module S = (val I.instantiate structure policy) in
   let s = S.create () in
   { apply =
       (fun op ->
         match op with
-        | Put (k, v) -> Done (S.insert s ~key:k ~value:v)
-        | Del k -> Done (S.delete s k)
+        | Put (k, v) -> done_ (S.insert s ~key:k ~value:v)
+        | Del k -> done_ (S.delete s k)
         | Get k -> Value (S.find s k)
         | Multi_put kvs ->
           (* add-if-absent per key, in list order (a duplicate key later
              in the batch sees the earlier insert); [Done true] iff
              every key was fresh *)
-          Done
+          done_
             (List.fold_left
                (fun acc (k, v) ->
                  let fresh = S.insert s ~key:k ~value:v in
@@ -274,7 +297,7 @@ let mk_store (structure : (module I.STRUCTURE)) (policy : I.policy) : store =
 
 let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
   let cells = ref (Array.make 64 (None : entry LMem.loc option)) in
-  let index = LMem.alloc 0 in
+  let mark = LMem.alloc (0, 0) in
   let module C = Checkpoint.Make (LMem) in
   let module Pm = Nvt_nvm.Persist.Make (LMem) in
   let module G = Pm.Sited (Pm.Durable) in
@@ -283,11 +306,10 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
     match !cells.(slot) with
     | Some c -> c
     | None ->
-      (* [failwith], not [invalid_arg]: with a suppressed svc:ckpt_ site
-         site a crash can durably commit a truncation whose checkpoint
-         descriptor was lost, and recovery then asks for a dropped
-         slot — the harnesses treat [Failure] as a recovery kill. *)
-      failwith "service ledger: read of an absent slot"
+      (* commit and introspection touch only retained slots; recovery,
+         which may meet a dropped one, probes instead. [failwith]: the
+         harnesses treat [Failure] as a kill. *)
+      failwith "service ledger: access to an absent slot"
   in
   (* Null cells in [lo, hi), retiring the simulated locations of those
      actually dropped (Some -> None transitions only, so truncation
@@ -317,9 +339,20 @@ let mk_ledger (module LMem : Nvt_nvm.Memory.S) () : ledger =
   { append;
     flush_entry = (fun slot -> G.flush "svc:ledger_flush" (cell slot));
     read_entry = (fun slot -> LMem.read (cell slot));
-    write_index = (fun i -> LMem.write index i);
-    flush_index = (fun () -> G.flush "svc:commit_flush" index);
-    read_index = (fun () -> LMem.read index);
+    probe_entry =
+      (fun slot ->
+        match if slot < Array.length !cells then !cells.(slot) else None with
+        | None -> None
+        | Some c -> (
+          match LMem.read c with
+          | e -> Some e
+          | exception Nvt_nvm.Memory.Corrupt_read _ -> None));
+    read_mark = (fun () -> LMem.read mark);
+    persist_mark =
+      (fun watermark era ->
+        LMem.write mark (watermark, era);
+        G.flush "svc:mark_flush" mark;
+        G.fence "svc:mark_fence");
     truncate = (fun from -> drop from (Array.length !cells));
     drop_below = (fun upto -> drop 0 (min upto (Array.length !cells)));
     write_ckpt = (fun upto pairs dedup -> C.write ckpt ~upto ~pairs ~dedup);
@@ -372,6 +405,7 @@ let create ?(poll_quantum = 100) ?(slice = (0, 1)) ?commit_interval
           queue = Queue.create ();
           next_slot = 0;
           committed = 0;
+          era = 0;
           mirror = Hashtbl.create 64;
           last = Hashtbl.create 64;
           preseed = [];
@@ -443,10 +477,12 @@ let prefill t keys =
 (* Commit protocol                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Flush the batch's entry cells; one fence (entries durable); advance
-   and flush each touched shard's index; one fence (commit point);
+(* Flush the batch's entry cells; one fence (commit point);
    acknowledge. All flushes are issued by the calling thread so that
-   its fences cover them. *)
+   its fence covers them. A batch holds each shard's slots in order,
+   and every earlier slot of the shard committed under an earlier
+   fence, so after this one the shard's committed prefix reaches past
+   the batch. *)
 let commit t = function
   | [] -> ()
   | items ->
@@ -459,24 +495,11 @@ let commit t = function
         if it.c_slot >= sh.base then sh.ledger.flush_entry it.c_slot)
       items;
     t.svc_fence "svc:ledger_fence";
-    let touched = Hashtbl.create 8 in
     List.iter
       (fun it ->
-        let cur =
-          match Hashtbl.find_opt touched it.c_shard with
-          | Some i -> i
-          | None -> t.shards.(it.c_shard).committed
-        in
-        if it.c_slot + 1 > cur then Hashtbl.replace touched it.c_shard (it.c_slot + 1))
+        let sh = t.shards.(it.c_shard) in
+        if it.c_slot >= sh.committed then sh.committed <- it.c_slot + 1)
       items;
-    Hashtbl.iter
-      (fun si idx ->
-        let sh = t.shards.(si) in
-        sh.ledger.write_index idx;
-        sh.ledger.flush_index ())
-      touched;
-    t.svc_fence "svc:commit_fence";
-    Hashtbl.iter (fun si idx -> t.shards.(si).committed <- idx) touched;
     List.iter
       (fun it -> t.on_commit it.c_req ~shard:it.c_shard ~slot:it.c_slot)
       items;
@@ -487,19 +510,19 @@ let commit t = function
 (* ------------------------------------------------------------------ *)
 
 (* Snapshot and durably checkpoint one shard. Must run on the thread
-   that owns the shard's commit index (the worker in per-op mode, the
-   committer in group mode) so no other thread races the index.
+   that commits the shard's entries (the worker in per-op mode, the
+   committer in group mode) so no other thread races its commits.
 
    The cut — (next_slot, mirror, dedup entries) — is captured before
    the first simulated memory operation: everything below is plain
    OCaml, and fibers are only preempted at simulated accesses, so the
    snapshot is a consistent model replay of log prefix [0, upto) even
    though workers of *other* shards keep running while the chunks are
-   written out. Entries of [0, upto) not yet covered by the index
-   (group mode: appended since the last boundary) are force-committed
-   under the standard two fences first; their acknowledgements still
-   release through the normal path ([commit] skips an index already at
-   or past a batch's slots but always acknowledges). *)
+   written out. Entries of [0, upto) not yet committed (group mode:
+   appended since the last boundary) are force-committed under the one
+   commit fence first; their acknowledgements still release through
+   the normal path ([commit] skips slots a checkpoint already covered
+   but always acknowledges). *)
 let checkpoint_shard t si =
   let sh = t.shards.(si) in
   let upto = sh.next_slot in
@@ -526,9 +549,6 @@ let checkpoint_shard t si =
         sh.ledger.flush_entry slot
       done;
       t.svc_fence "svc:ledger_fence";
-      sh.ledger.write_index upto;
-      sh.ledger.flush_index ();
-      t.svc_fence "svc:commit_fence";
       sh.committed <- upto
     end;
     sh.ledger.write_ckpt upto pairs dedup;
@@ -581,7 +601,8 @@ let process t shard_ix req =
     t.on_apply req res;
     let slot = sh.next_slot in
     sh.ledger.append slot
-      { e_client = req.client; e_seq = req.seq; e_op = req.op; e_res = res };
+      { e_client = req.client; e_seq = req.seq; e_op = req.op; e_res = res;
+        e_era = sh.era };
     sh.next_slot <- slot + 1;
     mirror_apply sh req.op;
     let d =
@@ -597,8 +618,8 @@ let process t shard_ix req =
 let worker t shard_ix () =
   let m = Machine.get () in
   let sh = t.shards.(shard_ix) in
-  (* per-op mode: the worker owns its shard's index, so it also owns
-     its checkpoints; group mode leaves them to the committer *)
+  (* per-op mode: the worker commits its shard's entries, so it also
+     owns its checkpoints; group mode leaves them to the committer *)
   let maybe_ckpt () =
     if t.ckpt_interval > 0 && t.mode = Per_op then begin
       let now = Machine.now m in
@@ -632,12 +653,13 @@ let worker t shard_ix () =
    domain-count-independent times. The batch-size trigger of the
    [Group] mode is subsumed: a larger interval is a larger batch.
 
-   Checkpoints ride the same thread, after the boundary commit, so the
-   commit index never has two writers. A checkpoint's simulated cost
-   can push the committer past its next boundary (its acks then release
-   one interval later); keep the checkpoint interval comfortably above
-   the commit interval where ack-time determinism across domain counts
-   matters, or use per-op mode, where checkpoints are worker-local. *)
+   Checkpoints ride the same thread, after the boundary commit, so a
+   shard's commits always come from one thread. A checkpoint's
+   simulated cost can push the committer past its next boundary (its
+   acks then release one interval later); keep the checkpoint interval
+   comfortably above the commit interval where ack-time determinism
+   across domain counts matters, or use per-op mode, where checkpoints
+   are worker-local. *)
 let committer t () =
   let m = Machine.get () in
   let interval = t.commit_interval in
@@ -697,20 +719,17 @@ let begin_recovery t =
   Hashtbl.reset t.last
 
 (* Recover one shard: store recovery (returning its contents) ->
-   durable index -> truncate (retiring dropped cells) -> restore the
-   checkpoint snapshot -> replay the remaining committed suffix ->
-   merge the shard's dedup records into the slice's -> reconcile the
-   store to the mirror. Restartable: a crash during recovery loses only
-   volatile state, and re-running retires only cells not already
-   dropped. *)
+   restore the checkpoint snapshot -> replay the committed suffix,
+   deriving its end -> truncate there (retiring dropped cells) ->
+   persist the new mark -> merge the shard's dedup records into the
+   slice's -> reconcile the store to the mirror. Restartable: a crash
+   during recovery loses only volatile state, re-running derives the
+   same end whichever mark persisted (the cells past it are dropped),
+   and retires only cells not already dropped. *)
 let recover_shard t si =
   let sh = t.shards.(si) in
   let have = sh.store.st_recover () in
   Queue.clear sh.queue;
-  let idx = sh.ledger.read_index () in
-  sh.ledger.truncate idx;
-  sh.committed <- idx;
-  sh.next_slot <- idx;
   Hashtbl.reset sh.mirror;
   Hashtbl.reset sh.last;
   let base =
@@ -730,13 +749,25 @@ let recover_shard t si =
   in
   sh.ledger.drop_below base;
   sh.base <- base;
-  t.replayed <- t.replayed + (idx - base);
-  for slot = base to idx - 1 do
-    let e = sh.ledger.read_entry slot in
-    mirror_apply sh e.e_op;
-    merge_last sh.last e.e_client
-      { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot }
-  done;
+  (* Slots below the watermark committed in an earlier era; from there
+     on an entry is committed iff it persisted in the mark's era. *)
+  let watermark, era = sh.ledger.read_mark () in
+  let rec replay slot =
+    match sh.ledger.probe_entry slot with
+    | Some e when slot < watermark || e.e_era = era ->
+      mirror_apply sh e.e_op;
+      merge_last sh.last e.e_client
+        { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot };
+      replay (slot + 1)
+    | Some _ | None -> slot
+  in
+  let upto = replay base in
+  t.replayed <- t.replayed + (upto - base);
+  sh.ledger.truncate upto;
+  sh.committed <- upto;
+  sh.next_slot <- upto;
+  sh.ledger.persist_mark upto (era + 1);
+  sh.era <- era + 1;
   (* the shard's table now holds each client's last committed record
      here, so the slice's table gets every client's latest commit *)
   Hashtbl.iter (merge_last t.last) sh.last;
@@ -784,14 +815,12 @@ let check_invariants t =
   Array.iter (fun sh -> sh.store.st_check ()) t.shards
 
 (* The retained committed log of each shard — the suffix starting at
-   the shard's checkpoint base — in log order. *)
+   the shard's checkpoint base — in log order. Recovery derives the
+   committed end by replaying from the base, so it is never below it. *)
 let committed_log t =
   Array.map
     (fun sh ->
-      (* a suppressed commit site can leave the recovered index below a
-         committed checkpoint's base; the retained suffix is then empty
-         (everything below base is snapshot-covered), not negative *)
-      List.init (max 0 (sh.committed - sh.base)) (fun i ->
+      List.init (sh.committed - sh.base) (fun i ->
           sh.ledger.read_entry (sh.base + i)))
     t.shards
 
@@ -838,21 +867,20 @@ let checkpoint_state t =
 
 (* Test hook: forge committed ledger entries (setup mode), durably, as
    if they had been applied and committed — including duplicates the
-   normal path would dedup away. The store and the acknowledgement
-   hooks are bypassed; the mirror tracks the forged entries so later
-   checkpoints stay consistent. *)
+   normal path would dedup away. Each is stamped with its shard's
+   current era. The store and the acknowledgement hooks are bypassed;
+   the mirror tracks the forged entries so later checkpoints stay
+   consistent. *)
 let inject_committed t entries =
   List.iter
     (fun e ->
       let si = shard_of t (key_of_op e.e_op) in
       let sh = t.shards.(si) in
       let slot = sh.next_slot in
-      sh.ledger.append slot e;
+      sh.ledger.append slot { e with e_era = sh.era };
       sh.ledger.flush_entry slot;
       sh.next_slot <- slot + 1;
       mirror_apply sh e.e_op;
-      sh.ledger.write_index sh.next_slot;
-      sh.ledger.flush_index ();
       sh.committed <- sh.next_slot;
       let d =
         { d_seq = e.e_seq; d_res = e.e_res; d_shard = si; d_slot = slot }
@@ -860,4 +888,13 @@ let inject_committed t entries =
       merge_last sh.last e.e_client d;
       merge_last t.last e.e_client d)
     entries;
-  t.svc_fence "svc:commit_fence"
+  t.svc_fence "svc:ledger_fence"
+
+(* Test hook: durably write [e], era as given, into the next slot of its
+   shard without committing it or advancing the append cursor — what
+   real memory keeps past the truncation point from an earlier era. *)
+let plant_stale t e =
+  let sh = t.shards.(shard_of t (key_of_op e.e_op)) in
+  sh.ledger.append sh.next_slot e;
+  sh.ledger.flush_entry sh.next_slot;
+  t.svc_fence "svc:ledger_fence"

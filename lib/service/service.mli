@@ -4,18 +4,21 @@
     structure under a registry persistence policy, driven by one worker
     thread. Requests are acknowledged only after their record in a
     per-shard redo log (written through the same policy's memory) is
-    committed by a flush/fence/index/flush/fence protocol — either per
-    operation, or batched under a single pair of fences by a dedicated
-    committer thread (group persistence). With [?checkpoint] set, the
-    thread owning each shard's commit index periodically snapshots the
-    shard's committed state through {!Checkpoint} (the [svc:ckpt_] sites)
-    and drops the covered log prefix, retiring its cells. Recovery
-    truncates each log to its durable commit index, restores the
-    checkpoint snapshot, and rebuilds the per-client deduplication
-    table from the snapshot's dedup records and the remaining committed
-    suffix (last committed entry wins on equal (client, seq)), so
-    re-sent acknowledged requests are answered from the ledger without
-    being re-applied. Each shard's snapshot keeps every client's last
+    committed by a flush/fence protocol — either per operation, or
+    batched under a single fence by a dedicated committer thread (group
+    persistence). The entries are the commit record: each carries its
+    shard's recovery era, and recovery derives the committed prefix
+    from them. With [?checkpoint] set, the thread committing each
+    shard's entries periodically snapshots the shard's committed state
+    through {!Checkpoint} (the [svc:ckpt_] sites) and drops the covered
+    log prefix, retiring its cells. Recovery restores the checkpoint
+    snapshot, replays the committed suffix up to the first entry that
+    did not persist or carries another era, truncates the log there,
+    persists the new era (the [svc:mark_] sites), and rebuilds the
+    per-client deduplication table from the snapshot's dedup records
+    and the replayed suffix (last committed entry wins on equal
+    (client, seq)), so re-sent acknowledged requests are answered from
+    the ledger without being re-applied. Each shard's snapshot keeps every client's last
     record on that shard, so the rebuilt table holds every client's
     latest commit and {!op_status} can soundly answer [Not_applied].
     Recovery cost is O(delta since the last checkpoint), and
@@ -27,9 +30,9 @@ type op =
   | Get of int
   | Multi_put of (int * int) list
       (** k puts on {e one shard}, applied in list order and committed
-          as one ledger record under the standard two commit fences —
-          durable multi-put at a pair of fences for k keys, even in
-          per-op mode. Every key must map to the same global shard
+          as one ledger record under the one commit fence — durable
+          multi-put at one fence for k keys, even in per-op mode.
+          Every key must map to the same global shard
           ({!global_shard}); a spanning batch raises, and an empty one
           is invalid. [Done true] iff every key was fresh. *)
   | Rmw of int * int
@@ -54,11 +57,11 @@ type request = { client : int; seq : int; op : op }
     request after a crash. *)
 
 type mode =
-  | Per_op  (** commit (2 fences) on the worker, per request *)
+  | Per_op  (** commit (1 fence) on the worker, per request *)
   | Group of { batch : int; timeout : int }
       (** a committer thread commits accumulated completions under one
-          pair of fences at virtual-time multiples of the commit
-          interval (default: [timeout]; see [?commit_interval] on
+          fence at virtual-time multiples of the commit interval
+          (default: [timeout]; see [?commit_interval] on
           {!create}). Commit points are a pure function of virtual
           time, so slices of one logical service commit at the same
           global boundaries regardless of how shards are spread over
@@ -67,7 +70,16 @@ type mode =
 
 val mode_name : mode -> string
 
-type entry = { e_client : int; e_seq : int; e_op : op; e_res : result }
+type entry = {
+  e_client : int;
+  e_seq : int;
+  e_op : op;
+  e_res : result;
+  e_era : int;
+      (** the shard's recovery era when the record was written: at or
+          past the recovered watermark, only records of the current era
+          are commits *)
+}
 (** One committed-log record. *)
 
 type t
@@ -109,9 +121,9 @@ val create :
     exactly). In per-op mode each worker checkpoints its own shard at
     the interval; in group mode the committer checkpoints every local
     shard after a boundary commit — in both cases on the thread that
-    owns the commit index. A shard's snapshot holds its store contents
-    and, for every client with a record on that shard, the client's
-    last such record. *)
+    commits the shard's entries. A shard's snapshot holds its store
+    contents and, for every client with a record on that shard, the
+    client's last such record. *)
 
 val prefill : t -> int list -> unit
 (** Load keys (value = key) directly into the shard stores, bypassing
@@ -130,10 +142,11 @@ val request_stop : t -> unit
 
 val recover : t -> unit
 (** After {!Nvt_sim.Machine.run} returned [Crashed_at]: run the
-    policy's and every shard store's recovery, truncate each ledger to
-    its durable commit index (retiring the dropped cells), restore the
-    checkpoint snapshot, rebuild the deduplication table from the
-    remaining committed suffix. Sequential, in setup mode. *)
+    policy's and every shard store's recovery, restore the checkpoint
+    snapshot, replay the committed suffix to rebuild the deduplication
+    table, truncate each ledger where the suffix ends (retiring the
+    dropped cells) and persist the shard's next era. Sequential, in
+    setup mode. *)
 
 val spawn_recovery : t -> Nvt_sim.Machine.t -> unit
 (** The same recovery, but each shard's pass spawned as a simulated
@@ -154,10 +167,10 @@ val set_on_ack : t -> (request -> result -> dedup:bool -> unit) -> unit
 val set_on_commit : t -> (request -> shard:int -> slot:int -> unit) -> unit
 (** Called once per batch item when its commit fence completes, with
     the {e local} shard and log slot the request committed at — the
-    position a post-crash oracle can hold the durable index against
-    (a claim, not evidence: with the commit fence suppressed the call
-    still fires, which is exactly what lets the runner catch an
-    acknowledgement the durable index never covered). *)
+    position a post-crash oracle can hold the recovered committed log
+    against (a claim, not evidence: with the commit fence suppressed
+    the call still fires, which is exactly what lets the runner catch
+    an acknowledgement the recovered log never covered). *)
 
 (** {1 Introspection} (quiescent / setup-mode use only) *)
 
@@ -178,10 +191,10 @@ val check_invariants : t -> unit
 val committed_log : t -> entry list array
 (** Per shard, the {e retained} committed records in log order: the
     suffix from the shard's checkpoint base (slot 0 when no checkpoint
-    committed) to its commit index. *)
+    committed) to its committed end. *)
 
 val committed_total : t -> int
-(** Sum of the shards' commit indices (absolute: includes slots whose
+(** Sum of the shards' committed ends (absolute: includes slots whose
     cells a checkpoint has since truncated away). *)
 
 val checkpoints_taken : t -> int
@@ -218,4 +231,11 @@ val checkpoint_state : t -> (int * (int * int) list * (int * int) list) array
 val inject_committed : t -> entry list -> unit
 (** Test hook (setup mode): forge entries into the committed log —
     applied to nothing, acknowledged to nobody, but durable — including
-    duplicate (client, seq) records the normal path would dedup. *)
+    duplicate (client, seq) records the normal path would dedup. Each
+    entry's [e_era] is replaced by its shard's current era. *)
+
+val plant_stale : t -> entry -> unit
+(** Test hook (setup mode): durably write the entry, [e_era] as given,
+    into the next slot of its shard without committing it or advancing
+    the append cursor — the stale record of an earlier era that real
+    memory keeps past a truncation point. *)

@@ -2,13 +2,14 @@
 
    {!Mutlab} mutates the sites a persistence *policy* injects into a
    structure; the service layer adds its own — the commit protocol's
-   ledger/index sites and the checkpointer's svc:ckpt_ sites — which
-   only a whole-service run reaches. This module runs the same
-   suppress-one-site-and-attack analysis over them, with {!Runner} as
-   the adversarial workload: crash the service at swept aggregate-step
-   thresholds (and, in the double-crash arm, again during the recovery
-   pass) and demand that the runner's exactly-once oracle, the ledger's
-   structural checks or recovery itself catches the mutation.
+   svc:ledger_ sites, recovery's svc:mark_ sites and the checkpointer's
+   svc:ckpt_ sites — which only a whole-service run reaches. This
+   module runs the same suppress-one-site-and-attack analysis over
+   them, with {!Runner} as the adversarial workload: crash the service
+   at swept aggregate-step thresholds (and, in the double-crash arm,
+   again during the recovery pass) and demand that the runner's
+   exactly-once oracle, the ledger's structural checks or recovery
+   itself catches the mutation.
 
    It lives here rather than in [Nvt_harness.Mutlab] because the
    dependency points the other way: [nvt_service] is built on
@@ -71,9 +72,10 @@ let set_combo ~structure ~policy =
    Recovery and re-sends shift each era's phase against the commit and
    checkpoint boundaries, so one run samples several protocol windows —
    the fence sites' vulnerable window (a write-back issued but not yet
-   fenced when the index write lands) is only a few steps wide per
-   commit, far below the sweep's stride. A double-crash [Svc_crash]
-   stays a single era so the recovery-pass threshold is exact. *)
+   fenced when the acknowledgement is released) is only a few steps
+   wide per commit, far below the sweep's stride. A double-crash
+   [Svc_crash] stays a single era so the recovery-pass threshold is
+   exact. *)
 let crash_repeats = 6
 
 let run_attack (a : Mutlab.attack) : string option =
@@ -96,12 +98,15 @@ let run_attack (a : Mutlab.attack) : string option =
     | exception Failure msg -> Some ("service failure: " ^ msg))
   | _ -> invalid_arg "Svclab.run_attack: not a service attack"
 
+let intact what (r : Runner.report) =
+  match r.violations with
+  | [] -> r
+  | v :: _ ->
+    failwith (Printf.sprintf "svclab %s run violated intact: %s" what v)
+
 (* One crash-free run: the probe. Returns (aggregate steps, stats). *)
 let probe ~structure ~policy ~seed =
-  let r = Runner.run (config ~structure ~policy ~seed) in
-  (match r.violations with
-  | [] -> ()
-  | v :: _ -> failwith ("svclab probe run violated intact: " ^ v));
+  let r = intact "probe" (Runner.run (config ~structure ~policy ~seed)) in
   (r.steps, r.stats)
 
 (* The battery with early exit. The crash sweep re-probes per seed
@@ -153,26 +158,29 @@ let is_svc_site name =
   String.length name > String.length svc_prefix
   && String.sub name 0 (String.length svc_prefix) = svc_prefix
 
-(* Service sites of the probe's attribution table. The structure's and
-   policy's own sites also appear there, but they are the structure
-   battery's targets; mutating them under the service workload would
-   only duplicate weaker versions of those verdicts. *)
+(* Service sites of a probe's attribution table, with their counts.
+   The structure's and policy's own sites also appear there, but they
+   are the structure battery's targets; mutating them under the service
+   workload would only duplicate weaker versions of those verdicts. *)
 let svc_sites (st : Stats.t) =
   Stats.sites st
-  |> List.filter_map (fun (name, { Stats.s_flushes; s_fences; _ }) ->
-         if is_svc_site name && s_flushes + s_fences > 0 then Some name
-         else None)
-  |> List.sort compare
+  |> List.filter (fun (name, { Stats.s_flushes; s_fences; _ }) ->
+         is_svc_site name && s_flushes + s_fences > 0)
 
+(* [measure] is the run whose suppressed instructions the report
+   counts: the probe that reached the site. A crashed run under
+   suppression may legitimately violate or die; only its counts
+   matter here. *)
 let classify_site (sc : Mutlab.scale) ~structure ~policy ~site ~flushes
-    ~fences : Mutlab.site_report =
+    ~fences ~measure : Mutlab.site_report =
   Suppress.set (Some site);
   Fun.protect
     ~finally:(fun () -> Suppress.set None)
     (fun () ->
-      (* measured instruction delta: one crash-free run under
-         suppression before the battery *)
-      ignore (probe ~structure ~policy ~seed:0);
+      (* measured instruction delta: one probe run under suppression
+         before the battery *)
+      (try ignore (Runner.run measure)
+       with Nvt_sim.Machine.Corrupt_read _ | Failure _ -> ());
       let skipped_flushes, skipped_fences = Suppress.skipped () in
       let kill, runs = sweep ~structure ~policy sc in
       let verdict =
@@ -226,16 +234,24 @@ let run_combo (sc : Mutlab.scale) ?plan ~structure ~policy () :
       elided }
   else begin
     let control_failure, control_runs = sweep ~structure ~policy sc in
-    let site_counts = Stats.sites probe_stats in
+    (* The crash-free probe's sites, plus those only the same run
+       crashed at mid-probe reaches — the svc:mark_ sites, which only
+       recovery persists through — counted there. *)
+    let probe_cfg = config ~structure ~policy ~seed:0 in
+    let crashed = { probe_cfg with Runner.crash_steps = [ probe_steps / 2 ] } in
+    let reached = svc_sites probe_stats in
+    let recovery_only =
+      svc_sites (intact "crashed probe" (Runner.run crashed)).stats
+      |> List.filter (fun (name, _) -> not (List.mem_assoc name reached))
+    in
+    let classify measure (site, { Stats.s_flushes; s_fences; _ }) =
+      classify_site sc ~structure ~policy ~site ~flushes:s_flushes
+        ~fences:s_fences ~measure
+    in
     let sites =
-      List.map
-        (fun site ->
-          let { Stats.s_flushes; s_fences; _ } =
-            List.assoc site site_counts
-          in
-          classify_site sc ~structure ~policy ~site ~flushes:s_flushes
-            ~fences:s_fences)
-        (svc_sites probe_stats)
+      List.map (classify probe_cfg) reached
+      @ List.map (classify crashed) recovery_only
+      |> List.sort (fun (a : Mutlab.site_report) b -> compare a.site b.site)
     in
     { Mutlab.structure = svc_prefix ^ structure;
       policy;

@@ -1,8 +1,11 @@
 (** Mutation battery for the service layer's own persistence sites —
-    the commit protocol's [svc:ledger_]/[svc:commit_] sites and the
-    checkpointer's [svc:ckpt_] sites — which only a whole-service run
-    reaches. Suppresses one site at a time ({!Nvt_nvm.Suppress}) and
-    attacks the {!Runner} with swept crash thresholds, including
+    the commit protocol's [svc:ledger_] sites, recovery's [svc:mark_]
+    sites and the checkpointer's [svc:ckpt_] sites — which only a
+    whole-service run reaches. The sites are enumerated from a
+    crash-free probe run plus one run crashed at mid-probe, so a site
+    only recovery reaches is attacked too. Suppresses one site at a
+    time ({!Nvt_nvm.Suppress}) and attacks the {!Runner} with swept
+    crash thresholds, including
     double-crash eras that fire a second crash during the recovery
     pass; a kill is an exactly-once-oracle violation, a stalled
     recovery, a corrupt cell or a structural failure.

@@ -546,11 +546,11 @@ let sited_scenario (module Pol : P.S) ~killed ~planned () =
 
 (* Four per-op puts through the service under a hand-built plan that
    elides the commit point's fence. *)
-let svc_commit_fence_scenario () =
+let svc_ledger_fence_scenario () =
   let m = Machine.create () in
   Stats.clear_site ();
   Nvm.Suppress.set None;
-  Optimizer.set (Some { Optimizer.no_opt with elide = [ "svc:commit_fence" ] });
+  Optimizer.set (Some { Optimizer.no_opt with elide = [ "svc:ledger_fence" ] });
   Fun.protect ~finally:(fun () -> Optimizer.set None) @@ fun () ->
   let t =
     Service.create
@@ -566,7 +566,7 @@ let svc_commit_fence_scenario () =
   (match Machine.run m with
   | Machine.Completed -> ()
   | Machine.Crashed_at _ -> assert false);
-  observe m [ "svc:commit_fence" ]
+  observe m [ "svc:ledger_fence" ]
 
 (* Every attributed flush and fence goes through [Persist.Make(M).Sited]:
    erased under [Volatile] before either guard (no skip counted, no tag
@@ -594,8 +594,8 @@ let guarded_contract =
       ( "durable, suppressed and planned",
         sited_scenario (module P.Durable) ~killed:"t:both" ~planned:"t:both",
         { nothing with skipped = (1, 1) } );
-      ( "plan eliding svc:commit_fence",
-        svc_commit_fence_scenario,
+      ( "plan eliding svc:ledger_fence",
+        svc_ledger_fence_scenario,
         { nothing with elided = (0, 4) } ) ]
 
 let suite =

@@ -293,13 +293,13 @@ let service_fingerprint_is_pinned () =
       pin "checkpoints" checkpoints r.checkpoints;
       pin "recovery_steps" recovery_steps r.recovery_steps;
       pin "replayed" replayed r.replayed)
-    [ ("group", base, (22573, 314094, 2181, 1529, 155, 9485, 17));
+    [ ("group", base, (22029, 310080, 2019, 1445, 160, 9523, 6));
       ( "per-op",
         { base with mode = Svc.Per_op },
-        (19031, 255081, 2364, 2093, 147, 9510, 4) );
+        (16943, 200870, 1833, 1624, 117, 9530, 9) );
       ( "recovery crash",
         { base with crash_steps = [ 1500; 1500 ]; recovery_crashes = [ 300 ] },
-        (19077, 294063, 2130, 1492, 150, 6633, 13) ) ]
+        (18916, 302064, 1998, 1422, 156, 6663, 0) ) ]
 
 (* The checkpoint snapshot's canonical order: store pairs strictly
    ascending by key, dedup records strictly ascending by client,
@@ -365,9 +365,10 @@ let dedup_rebuild_last_committed_wins () =
       in
       Machine.persist_all m;
       Svc.inject_committed svc
-        [ { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = first };
-          { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = second }
-        ];
+        [ { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = first;
+            e_era = 0 };
+          { Svc.e_client = 5; e_seq = 3; e_op = Svc.Put (1, 1); e_res = second;
+            e_era = 0 } ];
       Svc.recover svc;
       let answer = ref None in
       Svc.set_on_ack svc (fun req res ~dedup ->

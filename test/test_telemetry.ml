@@ -349,6 +349,10 @@ let json_emitter () =
          ("b", Json.Bool true);
          ("c", Json.Null);
          ("d", Json.List [ Json.Obj [ ("x", Json.Float 0.5) ] ]) ]);
+  (* floats print in the shortest form that reads back exactly, so a
+     committed baseline pins a non-integral value to the last bit *)
+  check "floats round-trip" {|[0.1,0.33333333333333331,3.37172]|}
+    (Json.List [ Json.Float 0.1; Json.Float (1. /. 3.); Json.Float 3.37172 ]);
   (* the shared site-table emitter *)
   let st = Stats.zero () in
   Stats.record_flush st ~site:"nvt:make_persistent";
